@@ -33,16 +33,15 @@ func TestKernelBenchmarksIdentity(t *testing.T) {
 	}
 }
 
-// TestKernelMeetsFloors asserts the optimization's acceptance bars on
-// this machine: the both-classes Compare path must be at least 2x
-// faster and 2x lighter in allocations than the naive baseline.
+// TestKernelMeetsFloors asserts the optimization's deterministic
+// acceptance bars: every kernel bit-identical to its naive reference
+// and past its allocation-ratio floor (the both-classes Compare path at
+// least 2x lighter). The wall-clock floors are timed by the CI
+// bench-regression gate (experiments -bench-kernel-check) instead:
+// timing a shared machine inside go test fails at random.
 func TestKernelMeetsFloors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped with -short")
-	}
-	entries := RunKernelBenchmarks(50 * time.Millisecond)
-	if err := CheckKernelRegression(entries, entries, 1.5); err != nil {
-		t.Fatalf("fresh run fails its own regression check: %v", err)
+	if err := CheckKernelFloors(RunKernelBenchmarks(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -85,9 +84,20 @@ func TestCheckKernelRegression(t *testing.T) {
 
 	// Hard floors bind even when the baseline is worse: an entry with a
 	// floor of 2.0x cannot pass at 1.5x no matter what the file says.
+	// The allocation floors bind in CheckKernelFloors as well.
 	floored := KernelEntry{ID: "ngg-compare-both", Speedup: 1.5, AllocRatio: 5, Identical: true}
 	weakBase := []KernelEntry{{ID: "ngg-compare-both", Speedup: 1.0, AllocRatio: 5, Identical: true}}
 	if err := CheckKernelRegression([]KernelEntry{floored}, weakBase, 1.5); err == nil || !strings.Contains(err.Error(), "floor") {
 		t.Errorf("floor violation should fail, got %v", err)
+	}
+	light := KernelEntry{ID: "ngg-compare-both", Speedup: 3, AllocRatio: 1.5, Identical: true}
+	if err := CheckKernelFloors([]KernelEntry{light}); err == nil || !strings.Contains(err.Error(), "alloc ratio") {
+		t.Errorf("alloc floor violation should fail CheckKernelFloors, got %v", err)
+	}
+	if err := CheckKernelFloors([]KernelEntry{floored, diverged}); err == nil || !strings.Contains(err.Error(), "identical") {
+		t.Errorf("identity break should fail CheckKernelFloors, got %v", err)
+	}
+	if err := CheckKernelFloors([]KernelEntry{floored, ok}); err != nil {
+		t.Errorf("a speedup below its floor is no deterministic failure: %v", err)
 	}
 }

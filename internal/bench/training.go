@@ -113,11 +113,10 @@ func RunTrainingBenchmarks(benchtime time.Duration) []KernelEntry {
 				}
 			}
 		}
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		e.NaiveNSOp, e.KernelNSOp, e.NaiveAllocsOp, e.KernelAllocsOp = measurePair(benchtime, func() {
 			sel := ensemble.SelectGreedyReference(probs, labels, 2, 20, eval.AUC)
 			kernelSink += float64(len(sel))
-		})
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
+		}, func() {
 			sel := ensemble.SelectGreedy(probs, labels, 2, 20, eval.AUC)
 			kernelSink += float64(len(sel))
 		})
@@ -134,11 +133,10 @@ func RunTrainingBenchmarks(benchtime time.Duration) []KernelEntry {
 			Desc:      "synthetic world generation, 72 sites (pooled append render kernel vs strings.Builder+fmt reference)",
 			Identical: worldsIdentical(webgen.Generate(trainingWebgenConfig), webgen.GenerateReference(trainingWebgenConfig)),
 		}
-		e.NaiveNSOp, e.NaiveAllocsOp = measureOp(benchtime, func() {
+		e.NaiveNSOp, e.KernelNSOp, e.NaiveAllocsOp, e.KernelAllocsOp = measurePair(benchtime, func() {
 			w := webgen.GenerateReference(trainingWebgenConfig)
 			kernelSink += float64(len(w.Domains()))
-		})
-		e.KernelNSOp, e.KernelAllocsOp = measureOp(benchtime, func() {
+		}, func() {
 			w := webgen.Generate(trainingWebgenConfig)
 			kernelSink += float64(len(w.Domains()))
 		})

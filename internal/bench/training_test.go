@@ -35,24 +35,15 @@ func TestTrainingBenchmarksIdentity(t *testing.T) {
 	}
 }
 
-// TestTrainingMeetsFloors asserts the tentpole's acceptance bars on
-// this machine: ensemble selection at least 2x faster and 2x lighter
-// in allocations than the retained reference, webgen generation past
-// its own floors, both byte-identical.
+// TestTrainingMeetsFloors asserts the tentpole's deterministic
+// acceptance bars: ensemble selection and webgen generation
+// bit-identical to their retained references and past their
+// allocation-ratio floors (at least 2x lighter). Their wall-clock
+// floors (ensemble-selection at least 2x faster) are timed by the CI
+// bench-regression gate, not inside go test.
 func TestTrainingMeetsFloors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped with -short")
-	}
-	entries := RunTrainingBenchmarks(50 * time.Millisecond)
-	if err := CheckKernelRegression(entries, entries, 1.5); err != nil {
-		t.Fatalf("fresh training run fails its own regression check: %v", err)
-	}
-	for _, e := range entries {
-		if e.ID == "ensemble-selection" {
-			if e.Speedup < 2 || e.AllocRatio < 2 {
-				t.Errorf("ensemble-selection %0.2fx time / %0.2fx allocs, want >= 2x on both", e.Speedup, e.AllocRatio)
-			}
-		}
+	if err := CheckKernelFloors(RunTrainingBenchmarks(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
@@ -216,30 +215,6 @@ func TrainCtx(ctx context.Context, snap *dataset.Snapshot, opts Options) (*Verif
 // trust propagates through shared endpoints; text probabilities use the
 // frozen training vocabulary and model.
 func (v *Verifier) Assess(pharmacies []dataset.Pharmacy) []Assessment {
-	out, _ := v.AssessTimed(pharmacies, nil)
-	return out
-}
-
-// AssessTimings breaks an assessment into the two post-crawl serving
-// stages: Featurize covers trust-graph construction, TrustRank and
-// sparse text vectorization; Classify covers the model probability
-// computations and verdict assembly.
-type AssessTimings struct {
-	Featurize time.Duration
-	Classify  time.Duration
-}
-
-// AssessTimed is Assess with per-stage wall-time attribution. now is
-// the clock to read (nil = time.Now); the serving layer passes its own
-// injectable clock so stage histograms and request histograms agree.
-func (v *Verifier) AssessTimed(pharmacies []dataset.Pharmacy, now func() time.Time) ([]Assessment, AssessTimings) {
-	if now == nil {
-		now = time.Now
-	}
-	t0 := now()
-
-	// Featurize: link structure, trust propagation, and the sparse text
-	// vectors (pooled scratch — O(doc terms) allocation per pharmacy).
 	outbound := make(map[string][]string, len(v.trainOutbound)+len(pharmacies))
 	for d, eps := range v.trainOutbound {
 		outbound[d] = eps
@@ -258,18 +233,13 @@ func (v *Verifier) AssessTimed(pharmacies []dataset.Pharmacy, now func() time.Ti
 	values := trust.TrustRank(sg, v.seeds, v.opts.Network.Trust)
 	scores := trust.NewScores(sg, values)
 
+	// Sparse text vectors over pooled scratch: O(doc terms) allocation
+	// per pharmacy.
 	z := v.vectorizer()
-	xs := make([]ml.Vector, len(pharmacies))
-	for i, p := range pharmacies {
-		xs[i] = z.Vector(p.Terms, v.weightng)
-	}
-	v.vecPool.Put(z)
-	t1 := now()
-
-	// Classify: model probabilities and verdicts.
+	defer v.vecPool.Put(z)
 	out := make([]Assessment, len(pharmacies))
 	for i, p := range pharmacies {
-		textProb := v.text.Prob(xs[i])
+		textProb := v.text.Prob(z.Vector(p.Terms, v.weightng))
 		ts := scores.Of(p.Domain)
 		netProb := v.netClf.Prob(ml.NewVector([]float64{ts}))
 		out[i] = Assessment{
@@ -281,8 +251,7 @@ func (v *Verifier) AssessTimed(pharmacies []dataset.Pharmacy, now func() time.Ti
 			Rank:        textProb + ts,
 		}
 	}
-	t2 := now()
-	return out, AssessTimings{Featurize: t1.Sub(t0), Classify: t2.Sub(t1)}
+	return out
 }
 
 // TextProb returns the text classifier's P(legitimate) for one

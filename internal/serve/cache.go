@@ -132,6 +132,25 @@ func (c *verdictCache) put(key string, v DomainVerdict) {
 	}
 }
 
+// refresh stores a background re-verification's verdict without
+// promoting it: a cached entry is updated in place (verdict and TTL)
+// and keeps its LRU position, and an absent key joins at the
+// least-recently-used end only while the cache has room. A sweep over
+// a corpus larger than the cache thus never evicts the verdicts live
+// traffic is hitting.
+func (c *verdictCache) refresh(key string, v DomainVerdict) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*cacheEntry)
+		e.v, e.stored = v, c.now()
+		return
+	}
+	if c.order.Len() < c.max {
+		c.entries[key] = c.order.PushBack(&cacheEntry{key: key, v: v, stored: c.now()})
+	}
+}
+
 func (c *verdictCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

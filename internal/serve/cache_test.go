@@ -98,3 +98,37 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 		t.Errorf("len = %d exceeds the bound", c.len())
 	}
 }
+
+// refresh (the sweep's write) updates a cached entry without moving it
+// in the LRU order, fills spare room at the cold end, and never evicts.
+func TestVerdictCacheRefreshDoesNotPromote(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(0, 0)}
+	c := newVerdictCache(3, time.Minute, 0, clock.now)
+	c.put("a", DomainVerdict{Rank: 1})
+	c.put("b", DomainVerdict{Rank: 1})
+	c.refresh("s", DomainVerdict{Rank: 1}) // spare room: joins at the cold end
+	c.refresh("a", DomainVerdict{Rank: 2}) // in place, not promoted
+	c.refresh("x", DomainVerdict{Rank: 1}) // full: not inserted
+	// LRU order is still b, a, s (s coldest): two live puts evict s,
+	// then a — had the refresh promoted a, they would evict s, then b.
+	c.put("c", DomainVerdict{})
+	c.put("d", DomainVerdict{})
+	for key, want := range map[string]bool{"x": false, "s": false, "a": false, "b": true, "c": true, "d": true} {
+		if _, ok := c.get(key); ok != want {
+			t.Errorf("%s cached = %v, want %v", key, ok, want)
+		}
+	}
+	if _, _, _, evictions := c.stats(); evictions != 2 {
+		t.Errorf("evictions = %d, want the 2 caused by live puts", evictions)
+	}
+
+	// The in-place update carries the new verdict and renews its TTL.
+	c = newVerdictCache(3, time.Minute, 0, clock.now)
+	c.put("a", DomainVerdict{Rank: 1})
+	clock.advance(50 * time.Second)
+	c.refresh("a", DomainVerdict{Rank: 2})
+	clock.advance(20 * time.Second) // 70 s after the put, 20 s after the refresh
+	if v, ok := c.get("a"); !ok || v.Rank != 2 {
+		t.Errorf("a: ok=%v rank=%v, want the refreshed verdict, still live", ok, v.Rank)
+	}
+}

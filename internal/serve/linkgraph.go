@@ -24,20 +24,27 @@ type linkGraph struct {
 	dirtyThreshold uint64
 	met            *metrics
 
-	// refreshMu serializes recomputes; snap is the lock-free read path.
+	// refreshMu serializes recomputes and guards ranker, the current
+	// model's training links interned once (ranker.fp names the model);
+	// snap is the lock-free read path.
 	refreshMu sync.Mutex
+	ranker    *modelRanker
 	snap      atomic.Pointer[trustSnapshot]
 }
 
-// trustSnapshot is one immutable TrustRank computation: every node of
-// the fused (training ∪ live) graph mapped to its score, tagged with
-// the model fingerprint and live-graph version it was computed from.
+// modelRanker is a trust.Ranker over one model's training links and
+// seeds merged with the live graph.
+type modelRanker struct {
+	fp string
+	*trust.Ranker
+}
+
+// trustSnapshot is one immutable TrustRank computation over the fused
+// (training ∪ live) graph, tagged with the model fingerprint it was
+// computed for.
 type trustSnapshot struct {
-	fp      string
-	version uint64
-	scores  map[string]float64
-	nodes   int
-	edges   int
+	fp string
+	*trust.Ranked
 }
 
 func newLinkGraph(cfg Config, met *metrics) *linkGraph {
@@ -65,8 +72,7 @@ func (g *linkGraph) score(domain string) (float64, bool) {
 	if snap == nil {
 		return 0, false
 	}
-	s, ok := snap.scores[domain]
-	return s, ok
+	return snap.Score(domain)
 }
 
 // stale decides whether the snapshot must be recomputed before serving
@@ -80,14 +86,14 @@ func (g *linkGraph) stale(v *core.Verifier, domain string) bool {
 	if snap.fp != v.Fingerprint() {
 		return true
 	}
-	if g.live.Version()-snap.version >= g.dirtyThreshold {
+	if g.live.Version()-snap.Version >= g.dirtyThreshold {
 		return true
 	}
 	if domain != "" {
 		// A miss forces a refresh only for domains the live graph
 		// actually admitted; a domain dropped by the node bound would
 		// otherwise trigger a futile recompute on every request.
-		if _, ok := snap.scores[domain]; !ok && g.live.Contains(domain) {
+		if _, ok := snap.Score(domain); !ok && g.live.Contains(domain) {
 			return true
 		}
 	}
@@ -109,45 +115,26 @@ func (g *linkGraph) refreshIfStale(v *core.Verifier, domain string) {
 	g.refresh(v)
 }
 
-// refresh rebuilds the fused graph and recomputes TrustRank — exactly
-// the offline pipeline's construction (training outbound links, with
-// freshly crawled domains replacing their training entry, symmetrized
-// unless the model was trained directed), so online scores converge to
-// the offline ones whenever the live graph matches what the offline
-// batch would have seen. Callers hold refreshMu.
+// refresh recomputes TrustRank over exactly the offline pipeline's
+// construction — training outbound links, with freshly crawled domains
+// replacing their training entry, symmetrized unless the model was
+// trained directed — so the served scores are bit-identical to
+// trust.TrustRank(trust.BuildGraph(merged).Undirected(), …) over the
+// same crawls. The model's training links are interned once per model;
+// a refresh then does integer work only (see trust.Ranker). It runs on
+// the request path whenever a cold domain forces it, and on the
+// background tick. Callers hold refreshMu.
 func (g *linkGraph) refresh(v *core.Verifier) {
 	start := time.Now()
-	liveOut, version := g.live.SnapshotOutbound()
-	train := v.TrainingOutbound()
-	merged := make(map[string][]string, len(train)+len(liveOut))
-	for d, eps := range train {
-		merged[d] = eps
+	if g.ranker == nil || g.ranker.fp != v.Fingerprint() {
+		opts := v.Options().Network
+		base := trust.NewBase(v.TrainingOutbound(), v.Seeds())
+		g.ranker = &modelRanker{
+			fp:     v.Fingerprint(),
+			Ranker: trust.NewRanker(base, g.live, opts.Variant == core.TrustRankDirected, opts.Trust),
+		}
 	}
-	for d, eps := range liveOut {
-		merged[d] = eps
-	}
-	built := trust.BuildGraph(merged)
-	opts := v.Options().Network
-	sg := built
-	if opts.Variant != core.TrustRankDirected {
-		sg = built.Undirected()
-	}
-	// opts.Trust.Workers is normally 0, which resolves to the process
-	// default — so on multi-core hosts the refresh runs the parallel
-	// power iteration automatically (bit-identical to serial; the
-	// refresh already never runs on the request path).
-	values := trust.TrustRank(sg, v.Seeds(), opts.Trust)
-	scores := make(map[string]float64, sg.Len())
-	for id := 0; id < sg.Len(); id++ {
-		scores[sg.Name(id)] = values[id]
-	}
-	g.snap.Store(&trustSnapshot{
-		fp:      v.Fingerprint(),
-		version: version,
-		scores:  scores,
-		nodes:   built.Len(),
-		edges:   built.Edges(),
-	})
+	g.snap.Store(&trustSnapshot{fp: g.ranker.fp, Ranked: g.ranker.Rank()})
 	g.met.graphRefreshes.inc()
 	g.met.refreshSecs.observe(time.Since(start).Seconds())
 }
@@ -159,5 +146,5 @@ func (g *linkGraph) dirty() uint64 {
 	if snap == nil {
 		return g.live.Version()
 	}
-	return g.live.Version() - snap.version
+	return g.live.Version() - snap.Version
 }

@@ -153,7 +153,10 @@ type Observation struct {
 // Reverify runs the full serving pipeline — crawl, preprocess, evidence
 // fusion, shadow double-assessment — for one corpus domain on behalf of
 // the background re-verification scheduler, and refreshes the verdict
-// cache so live traffic benefits from the sweep. It deliberately does
+// cache so live traffic benefits from the sweep: a cached verdict is
+// replaced in place without being promoted, and an uncached one is
+// added only into spare room (see verdictCache.refresh), so a sweep
+// never flushes live traffic's verdicts. It deliberately does
 // NOT pass through admission control: background sweeps must never
 // occupy the worker slots live /v1/verify traffic is admitted on (the
 // crawl-rate budget lives in the scheduler instead). The live model at
@@ -169,7 +172,7 @@ func (s *Server) Reverify(ctx context.Context, domain string) (Observation, erro
 		return Observation{}, err
 	}
 	if !v.Partial {
-		s.cache.put(verdictKey(slot.fingerprint, domain), v)
+		s.cache.refresh(verdictKey(slot.fingerprint, domain), v)
 	}
 	return Observation{Domain: domain, Terms: p.Terms, Outbound: p.Outbound, Pages: p.Pages, Verdict: v}, nil
 }

@@ -786,8 +786,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetric(w, "pharmaverify_linkgraph_dirty", "Graph-changing folds not yet reflected in the served TrustRank scores.", "gauge", fmt.Sprint(s.graph.dirty()))
 	writeMetric(w, "pharmaverify_linkgraph_refreshes_total", "TrustRank score recomputes since start.", "counter", fmt.Sprint(s.met.graphRefreshes.value()))
 	if snap := s.graph.snap.Load(); snap != nil {
-		writeMetric(w, "pharmaverify_linkgraph_nodes", "Nodes of the fused (training + live) graph behind the served scores.", "gauge", fmt.Sprint(snap.nodes))
-		writeMetric(w, "pharmaverify_linkgraph_edges", "Edges of the fused graph behind the served scores.", "gauge", fmt.Sprint(snap.edges))
+		writeMetric(w, "pharmaverify_linkgraph_nodes", "Nodes of the fused (training + live) graph behind the served scores.", "gauge", fmt.Sprint(snap.Nodes))
+		writeMetric(w, "pharmaverify_linkgraph_edges", "Edges of the fused graph behind the served scores.", "gauge", fmt.Sprint(snap.Edges))
 	}
 
 	hits, misses, expiries, evictions := s.cache.stats()

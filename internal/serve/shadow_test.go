@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"pharmaverify/internal/core"
+	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
 )
 
@@ -271,6 +273,54 @@ func TestReverifyRefreshesCacheAndCorpus(t *testing.T) {
 	}
 	if n := cf.rootFetches(domain); n != 1 {
 		t.Fatalf("domain crawled %d times, want exactly the sweep's one", n)
+	}
+}
+
+// TestReverifySweepKeepsLiveVerdictsCached: a sweep over a corpus larger
+// than the verdict cache — Dataset 1's 1459 domains against the default
+// CacheSize of 1024 — must not flush the verdicts live traffic is
+// hitting. The corpus is synthetic one-page pharmacies (the sweep's
+// cache writes do not depend on what the pages say).
+func TestReverifySweepKeepsLiveVerdictsCached(t *testing.T) {
+	_, _, v := testVerifier(t)
+	const corpusSize, served = 1459, 64
+	corpus := make([]string, corpusSize)
+	for i := range corpus {
+		corpus[i] = fmt.Sprintf("sweep%04d.test", i)
+	}
+	fetch := crawler.FetcherFunc(func(domain, path string) (string, error) {
+		return fmt.Sprintf(`<html><head><title>%s pharmacy</title></head><body><p>order prescription medicine online</p>`+
+			`<a href="http://hub%d.example/">partner</a> <a href="https://www.fda.gov/">fda</a></body></html>`, domain, len(domain)%7), nil
+	})
+	s, err := New(v, Config{Fetcher: fetch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx := context.Background()
+	cached := func() int {
+		n := 0
+		for _, d := range corpus[:served] {
+			if s.verifyDomain(ctx, s.model.Load(), d, false).Cached {
+				n++
+			}
+		}
+		return n
+	}
+	cached() // first requests crawl and cache
+	if n := cached(); n != served {
+		t.Fatalf("%d/%d served verdicts cached before the sweep", n, served)
+	}
+	for _, d := range corpus {
+		if _, err := s.Reverify(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cached(); n != served {
+		t.Fatalf("%d/%d served verdicts still cached after a %d-domain sweep", n, served, corpusSize)
+	}
+	if _, _, _, evictions := s.cache.stats(); evictions != 0 {
+		t.Errorf("the sweep evicted %d verdicts", evictions)
 	}
 }
 

@@ -1,6 +1,10 @@
 package trust
 
-import "sync"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // LiveConfig bounds an incrementally maintained link graph.
 type LiveConfig struct {
@@ -44,42 +48,54 @@ type LiveStats struct {
 // structure to recompute TrustRank without rebuilding per request. It
 // is safe for concurrent use.
 //
-// Unlike Graph (an immutable id-interned structure built once by
-// BuildGraph), LiveGraph stores adjacency as domain → endpoint lists so
-// a re-crawled domain replaces its edge set in place. Fold never
-// mutates a previously installed endpoint slice, so SnapshotOutbound
-// can hand out a shallow copy that stays valid while folds continue.
+// Names are interned to dense ids as they are admitted (ids never
+// change and are never reused; names are never evicted), and adjacency
+// is stored at id level: a re-crawled domain replaces its endpoint-id
+// list in place. Fold never mutates a previously installed list, and
+// the id → name table only grows, so a view can share both with the
+// graph and stay valid while folds continue.
 type LiveGraph struct {
 	cfg LiveConfig
 
 	mu    sync.Mutex
-	out   map[string][]string
-	names map[string]struct{}
+	ids   map[string]int32
+	names []string
+	// out[id] is the endpoint list of a folded source, nil for a name
+	// never installed as a source (an installed source with no endpoints
+	// holds an empty, non-nil list).
+	out [][]int32
+	// sources lists the installed sources' ids in ascending name order:
+	// the order BuildGraph visits its keys in.
+	sources []int32
+	// mark and stamp dedupe one fold's endpoints without a per-fold map.
+	mark  []uint64
+	stamp uint64
 	edges int
 	stats LiveStats
 }
 
 // NewLiveGraph returns an empty bounded live graph.
 func NewLiveGraph(cfg LiveConfig) *LiveGraph {
-	return &LiveGraph{
-		cfg:   cfg.withDefaults(),
-		out:   make(map[string][]string),
-		names: make(map[string]struct{}),
-	}
+	return &LiveGraph{cfg: cfg.withDefaults(), ids: make(map[string]int32)}
 }
 
-// admit interns a name within the node budget, reporting whether the
-// name is (now) part of the graph. Callers hold l.mu.
-func (l *LiveGraph) admit(name string) bool {
-	if _, ok := l.names[name]; ok {
-		return true
+// admit interns a name within the node budget, returning its id, or -1
+// when the budget is exhausted and the name was never seen. Callers
+// hold l.mu.
+func (l *LiveGraph) admit(name string) int32 {
+	if id, ok := l.ids[name]; ok {
+		return id
 	}
 	if len(l.names) >= l.cfg.MaxNodes {
 		l.stats.DroppedNames++
-		return false
+		return -1
 	}
-	l.names[name] = struct{}{}
-	return true
+	id := int32(len(l.names))
+	l.ids[name] = id
+	l.names = append(l.names, name)
+	l.out = append(l.out, nil)
+	l.mark = append(l.mark, 0)
+	return id
 }
 
 // Fold records a crawl observation: domain links to endpoints. A
@@ -92,44 +108,65 @@ func (l *LiveGraph) Fold(domain string, endpoints []string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats.Folds++
-	if !l.admit(domain) {
+	src := l.admit(domain)
+	if src < 0 {
 		return false
 	}
-	kept := make([]string, 0, len(endpoints))
-	seen := make(map[string]struct{}, len(endpoints))
+	l.stamp++
+	kept := make([]int32, 0, min(len(endpoints), l.cfg.MaxOutPerDomain))
 	for _, ep := range endpoints {
 		if ep == domain {
 			continue
 		}
-		if _, dup := seen[ep]; dup {
-			continue
+		if id, ok := l.ids[ep]; ok && l.mark[id] == l.stamp {
+			continue // repeat
 		}
 		if len(kept) >= l.cfg.MaxOutPerDomain {
 			l.stats.DroppedEndpoints++
 			continue
 		}
-		if !l.admit(ep) {
+		id := l.admit(ep)
+		if id < 0 {
 			continue
 		}
-		seen[ep] = struct{}{}
-		kept = append(kept, ep)
+		l.mark[id] = l.stamp
+		kept = append(kept, id)
 	}
-	if equalStrings(l.out[domain], kept) {
+	prev := l.out[src]
+	if slices.Equal(prev, kept) {
 		return true
 	}
-	l.edges += len(kept) - len(l.out[domain])
-	l.out[domain] = kept
+	if prev == nil {
+		l.insertSource(src)
+	}
+	l.edges += len(kept) - len(prev)
+	l.out[src] = kept
 	l.stats.Version++
 	return true
+}
+
+// insertSource adds a newly installed source to the name-ordered
+// source list. Callers hold l.mu.
+func (l *LiveGraph) insertSource(id int32) {
+	name := l.names[id]
+	i := sort.Search(len(l.sources), func(i int) bool { return l.names[l.sources[i]] >= name })
+	l.sources = slices.Insert(l.sources, i, id)
 }
 
 // Contains reports whether name has been admitted (as a source or an
 // endpoint).
 func (l *LiveGraph) Contains(name string) bool {
+	return l.ID(name) >= 0
+}
+
+// ID returns the interned id of an admitted name, or -1.
+func (l *LiveGraph) ID(name string) int32 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, ok := l.names[name]
-	return ok
+	if id, ok := l.ids[name]; ok {
+		return id
+	}
+	return -1
 }
 
 // Version returns the number of graph-changing folds so far; consumers
@@ -151,28 +188,44 @@ func (l *LiveGraph) Stats() LiveStats {
 	return st
 }
 
-// SnapshotOutbound returns a shallow copy of the adjacency (the
-// endpoint slices are shared but never mutated after installation) plus
-// the version it corresponds to, for an atomic dirty-tracking
-// recompute.
-func (l *LiveGraph) SnapshotOutbound() (map[string][]string, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cp := make(map[string][]string, len(l.out))
-	for d, eps := range l.out {
-		cp[d] = eps
-	}
-	return cp, l.stats.Version
+// liveView is a consistent id-level snapshot of a LiveGraph: the id →
+// name table, the installed sources in ascending name order with their
+// endpoint-id lists, and the version they correspond to. The table and
+// the lists are shared with the graph, which only ever appends to the
+// one and replaces the others.
+type liveView struct {
+	names   []string
+	sources []int32
+	out     [][]int32 // aligned with sources
+	version uint64
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// view snapshots the graph for a recompute, reusing buf's slices.
+func (l *LiveGraph) view(buf liveView) liveView {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf.names = l.names[:len(l.names):len(l.names)]
+	buf.sources = append(buf.sources[:0], l.sources...)
+	buf.out = buf.out[:0]
+	for _, id := range l.sources {
+		buf.out = append(buf.out, l.out[id])
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	buf.version = l.stats.Version
+	return buf
+}
+
+// SnapshotOutbound returns the adjacency as domain → endpoint names
+// (a fresh map and fresh slices) plus the version it corresponds to —
+// the input BuildGraph takes.
+func (l *LiveGraph) SnapshotOutbound() (map[string][]string, uint64) {
+	v := l.view(liveView{})
+	cp := make(map[string][]string, len(v.sources))
+	for i, id := range v.sources {
+		eps := make([]string, len(v.out[i]))
+		for j, ep := range v.out[i] {
+			eps[j] = v.names[ep]
 		}
+		cp[v.names[id]] = eps
 	}
-	return true
+	return cp, v.version
 }

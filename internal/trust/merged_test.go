@@ -1,0 +1,114 @@
+package trust
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// offlineScores is the construction Ranker must reproduce: base
+// outbound with the live graph's sources replacing or adding entries,
+// built by BuildGraph, symmetrized unless directed, ranked by TrustRank.
+func offlineScores(base map[string][]string, live *LiveGraph, seeds map[string]float64, directed bool, cfg Config) (*Graph, []float64) {
+	liveOut, _ := live.SnapshotOutbound()
+	merged := make(map[string][]string, len(base)+len(liveOut))
+	for d, eps := range base {
+		merged[d] = eps
+	}
+	for d, eps := range liveOut {
+		merged[d] = eps
+	}
+	built := BuildGraph(merged)
+	g := built
+	if !directed {
+		g = built.Undirected()
+	}
+	return built, TrustRank(g, seeds, cfg)
+}
+
+// checkRanked compares a Ranked with the offline construction: the same
+// node and edge counts, every node's score bit-equal, and Score knowing
+// exactly the graph's nodes among probe names.
+func checkRanked(t *testing.T, step string, got *Ranked, built *Graph, want []float64, probes []string) {
+	t.Helper()
+	if got.Nodes != built.Len() || got.Edges != built.Edges() {
+		t.Fatalf("%s: ranked %d nodes %d edges, BuildGraph %d/%d", step, got.Nodes, got.Edges, built.Len(), built.Edges())
+	}
+	for id := 0; id < built.Len(); id++ {
+		s, ok := got.Score(built.Name(id))
+		if !ok || math.Float64bits(s) != math.Float64bits(want[id]) {
+			t.Fatalf("%s: %s scored %v (known %v), offline %v", step, built.Name(id), s, ok, want[id])
+		}
+	}
+	for _, name := range probes {
+		if _, ok := got.Score(name); ok != (built.ID(name) >= 0) {
+			t.Fatalf("%s: Score(%q) known=%v, but node present=%v", step, name, ok, built.ID(name) >= 0)
+		}
+	}
+}
+
+// TestRankerMatchesOfflineConstruction grows a live graph over a random
+// base through random folds — new sources, re-folds replacing base and
+// live sources, base endpoints becoming sources, empty folds, names
+// dropped by the node bound, seeds naming no base node — and after
+// every fold checks the ranker against the offline construction, in
+// both the symmetrized and the directed form.
+func TestRankerMatchesOfflineConstruction(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(46))
+		for trial := 0; trial < 12; trial++ {
+			pool := 10 + rng.Intn(40)
+			name := func() string { return "d" + itoa(rng.Intn(pool)) + ".com" }
+			base := map[string][]string{}
+			for i := 0; i < rng.Intn(pool); i++ {
+				var eps []string
+				for j := 0; j < rng.Intn(6); j++ {
+					eps = append(eps, name()) // repeats and self links kept
+				}
+				base[name()] = eps
+			}
+			seeds := map[string]float64{}
+			for i := 0; i < rng.Intn(5); i++ {
+				seeds[name()] = 0.25 + rng.Float64() // may name no base node
+			}
+			cfg := Config{}
+			live := NewLiveGraph(LiveConfig{MaxNodes: 5 + rng.Intn(pool), MaxOutPerDomain: 1 + rng.Intn(5)})
+			r := NewRanker(NewBase(base, seeds), live, directed, cfg)
+			probes := []string{"absent.example"}
+			for i := 0; i < pool; i++ {
+				probes = append(probes, "d"+itoa(i)+".com")
+			}
+			for fold := 0; fold < 25; fold++ {
+				var eps []string
+				for j := 0; j < rng.Intn(7); j++ {
+					eps = append(eps, name())
+				}
+				live.Fold(name(), eps)
+				built, want := offlineScores(base, live, seeds, directed, cfg)
+				got := r.Rank()
+				if got.Version != live.Version() {
+					t.Fatalf("ranked version %d, live %d", got.Version, live.Version())
+				}
+				checkRanked(t, fmt.Sprintf("directed=%v trial %d fold %d", directed, trial, fold), got, built, want, probes)
+			}
+		}
+	}
+}
+
+// A Ranked result stays valid while the live graph keeps growing: later
+// folds neither change its scores nor make it claim names it never
+// ranked.
+func TestRankedIsImmutable(t *testing.T) {
+	live := NewLiveGraph(LiveConfig{})
+	base := map[string][]string{"a.com": {"hub.org"}, "b.com": {"hub.org", "x.org"}}
+	seeds := map[string]float64{"a.com": 1}
+	r := NewRanker(NewBase(base, seeds), live, false, Config{})
+	live.Fold("c.com", []string{"hub.org"})
+	first := r.Rank()
+	built, want := offlineScores(base, live, seeds, false, Config{})
+	live.Fold("d.com", []string{"c.com", "y.org"})
+	live.Fold("a.com", []string{"z.org"})
+	r.Rank()
+	checkRanked(t, "after later folds", first, built, want, []string{"d.com", "y.org", "z.org"})
+}

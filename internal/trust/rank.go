@@ -26,9 +26,9 @@ type Config struct {
 	Tol float64
 	// Workers bounds the concurrency of the power iteration
 	// (0 = process default via PHARMAVERIFY_WORKERS/GOMAXPROCS,
-	// 1 = serial). Scores are bit-identical at every worker count: the
-	// parallel path reproduces the serial reference's floating-point
-	// accumulation order exactly (see biasedRankParallel).
+	// 1 = serial). Scores are bit-identical at every worker count: every
+	// worker count runs the same gather kernel, which reproduces the
+	// serial accumulation order exactly (see rankCSR).
 	Workers int
 }
 
@@ -71,32 +71,42 @@ func PageRank(g *Graph, cfg Config) []float64 {
 // everything else 0. Scores are normalized so the maximum is 1 (the
 // relative ordering is what the classifier consumes).
 func TrustRank(g *Graph, seeds map[string]float64, cfg Config) []float64 {
-	n := g.Len()
-	bias := make([]float64, n)
+	bias := make([]float64, g.Len())
+	for id := range bias {
+		bias[id] = seeds[g.Name(id)]
+	}
+	trustBias(bias)
+	r := biasedRank(g, bias, cfg)
+	normalizeMax(r)
+	return r
+}
+
+// trustBias turns per-node seed values (0 for unseeded nodes) into
+// TrustRank's teleport vector in place: positive seeds normalized to
+// sum to 1, everything else 0, or uniform when no seed is positive.
+func trustBias(bias []float64) {
 	var total float64
 	// Accumulate the normalizer in ascending node-id order, not seed-map
 	// order: float sums over Go's randomized map iteration made scores
 	// differ between runs whenever seed values were not exactly
 	// representable sums (integer-valued seeds masked the bug).
-	for id := 0; id < n; id++ {
-		if v, ok := seeds[g.Name(id)]; ok && v > 0 {
-			bias[id] = v
+	for i, v := range bias {
+		if v > 0 {
 			total += v
+		} else {
+			bias[i] = 0
 		}
 	}
 	if total == 0 {
 		// No usable seed: fall back to uniform (PageRank).
 		for i := range bias {
-			bias[i] = 1 / float64(n)
+			bias[i] = 1 / float64(len(bias))
 		}
-	} else {
-		for i := range bias {
-			bias[i] /= total
-		}
+		return
 	}
-	r := biasedRank(g, bias, cfg)
-	normalizeMax(r)
-	return r
+	for i := range bias {
+		bias[i] /= total
+	}
 }
 
 // AntiTrustRank propagates *distrust* from known-bad seeds along
@@ -107,163 +117,233 @@ func AntiTrustRank(g *Graph, badSeeds map[string]float64, cfg Config) []float64 
 }
 
 // minParallelNodes gates the parallel power iteration: below this node
-// count the CSR transpose and fan-out overhead outweigh the win and the
-// serial path runs instead. Both paths are bit-identical, so the gate
-// is purely a performance choice.
-const minParallelNodes = 128
+// count the fan-out overhead of parallel.ForGrain outweighs the win and
+// the kernel runs on one goroutine. Both ways run the same gather
+// kernel and are bit-identical, so the gate is purely a performance
+// choice, set from BenchmarkRankGate (rank_bench_test.go) — the kernel
+// alone on symmetrized hub-skewed graphs of about six directed edges
+// per node, the serving graph's density. On a 2-vCPU Intel Xeon VM
+// (go1.24, GOMAXPROCS 2), per 100-iteration run, one worker against
+// two: 2048 nodes 1.60–1.84 ms vs 1.87–2.24 ms; 4096 nodes 3.93–4.19 ms
+// vs 2.84–4.18 ms; 8192 nodes 7.7–9.2 ms vs 5.3–5.8 ms; 16384 nodes
+// 16.2–16.8 ms vs 10.1–11.2 ms. Serving graphs (1.5k–3k nodes) stay
+// serial; two workers win clearly from 8192 nodes on.
+const minParallelNodes = 8192
 
 // rankGrain is the contiguous node range handed to one worker per
 // dispatch in the parallel phases; ~512 nodes amortize the goroutine
 // handoff against the few-nanosecond per-node work.
 const rankGrain = 512
 
-// biasedRank runs personalized PageRank with the given teleport vector.
-// Dangling mass is redistributed to the bias vector. With cfg.Workers
-// resolving above 1 on a large enough graph, the iteration runs on the
-// parallel path; scores are bit-identical either way.
-func biasedRank(g *Graph, bias []float64, cfg Config) []float64 {
-	cfg = cfg.withDefaults()
-	n := g.Len()
-	if n == 0 {
-		return nil
-	}
-	if w := parallel.Workers(cfg.Workers); w > 1 && n >= minParallelNodes {
-		return biasedRankParallel(g, bias, cfg, w)
-	}
-	return biasedRankSerial(g, bias, cfg)
+// csr is the rank kernel's graph layout: an in-edge compressed sparse
+// row. The sources of node v's in-edges are src[start[v]:start[v+1]],
+// in ascending source order, one entry per edge (parallel edges
+// repeat); outDeg[u] is u's out-degree.
+//
+// Ascending source order is what makes the gather kernel exact: the
+// scatter formulation (biasedRankSerial) visits sources u in ascending
+// order and adds rank[u]/outDeg[u] into every destination it links to,
+// so the additions landing on any one destination arrive in ascending
+// source order — the order the gather replays.
+type csr struct {
+	start  []int32
+	src    []int32
+	outDeg []int32
 }
 
-// biasedRankSerial is the single-goroutine reference implementation.
-// The parallel path is defined as "bit-identical to this" and the
-// property tests pin that equivalence on randomized graphs.
-func biasedRankSerial(g *Graph, bias []float64, cfg Config) []float64 {
-	n := g.Len()
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	copy(rank, bias)
-
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		var dangling float64
-		for i := range next {
-			next[i] = 0
-		}
-		for u := 0; u < n; u++ {
-			outs := g.out[u]
-			if len(outs) == 0 {
-				dangling += rank[u]
-				continue
-			}
-			share := rank[u] / float64(len(outs))
-			for _, v := range outs {
-				next[v] += share
-			}
-		}
-		var delta float64
-		for i := 0; i < n; i++ {
-			nv := (1-cfg.Damping)*bias[i] + cfg.Damping*(next[i]+dangling*bias[i])
-			delta += math.Abs(nv - rank[i])
-			rank[i] = nv
-		}
-		if delta < cfg.Tol {
-			break
-		}
+// resize returns s with length n, reusing its backing array when large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return rank
+	return make([]T, n)
 }
 
-// biasedRankParallel distributes the power iteration over workers while
-// reproducing biasedRankSerial bit for bit. The serial loop accumulates
-// next[v] by scanning sources u in ascending order, so the additions
-// landing on any destination v arrive in ascending-source order. The
-// parallel path makes that order explicit: it transposes the graph into
-// an in-edge CSR whose per-destination source lists are built by the
-// same ascending-u scan, then gathers each destination independently —
-// the same float additions in the same order, just partitioned by
-// destination instead of interleaved. Per-destination gathers share no
-// state, so scheduling cannot reorder anything; the only cross-node
-// reductions (dangling mass, the L1 delta) are summed serially in
-// ascending node order, exactly as the serial loop does.
-func biasedRankParallel(g *Graph, bias []float64, cfg Config, workers int) []float64 {
-	n := g.Len()
-
-	// Transpose into CSR: counting pass, prefix offsets, then a fill
-	// pass scanning u ascending so each destination's source list is
-	// ascending in u with parallel edges kept adjacent.
-	indeg := make([]int32, n)
+// transpose fills c with the in-edge layout of the graph whose
+// out-lists are out: a counting pass, prefix offsets, then a fill pass
+// scanning sources in ascending order, so every source list comes out
+// ascending. c's buffers are reused.
+func (c *csr) transpose(out [][]int32) {
+	n := len(out)
+	c.outDeg = resize(c.outDeg, n)
+	c.start = resize(c.start, n+1)
+	clear(c.start)
 	edges := 0
-	for u := 0; u < n; u++ {
-		for _, v := range g.out[u] {
-			indeg[v]++
+	for u, vs := range out {
+		c.outDeg[u] = int32(len(vs))
+		edges += len(vs)
+		for _, v := range vs {
+			c.start[v+1]++
 		}
-		edges += len(g.out[u])
 	}
-	inStart := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		inStart[v+1] = inStart[v] + int(indeg[v])
+		c.start[v+1] += c.start[v]
 	}
-	inList := make([]int32, edges)
-	fill := make([]int, n)
-	copy(fill, inStart[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range g.out[u] {
-			inList[fill[v]] = int32(u)
+	c.src = resize(c.src, edges)
+	fill := c.start[:n] // advanced to each list's end, then restored
+	for u, vs := range out {
+		for _, v := range vs {
+			c.src[fill[v]] = int32(u)
 			fill[v]++
 		}
 	}
-	// Dangling nodes in ascending order: their rank sum must accumulate
-	// exactly as the serial scan does.
-	var danglingIDs []int32
+	copy(c.start[1:], fill)
+	c.start[0] = 0
+}
+
+// symmetrize fills c with the in-edge layout of the graph Undirected
+// would build from out (every edge u→v also as v→u), given d, the
+// in-edge layout of out itself. It never materializes the symmetrized
+// out-lists: the symmetrized in-list of v holds v's out-neighbours and
+// in-neighbours, and scanning sources u in ascending order — pushing u
+// into the list of each out-neighbour and each in-neighbour of u —
+// fills every list in ascending order. A self-loop lands twice, as in
+// Undirected. c's buffers are reused.
+func (c *csr) symmetrize(out [][]int32, d *csr) {
+	n := len(out)
+	c.outDeg = resize(c.outDeg, n)
+	c.start = resize(c.start, n+1)
+	c.start[0] = 0
+	for v := 0; v < n; v++ {
+		deg := int32(len(out[v])) + d.start[v+1] - d.start[v]
+		c.outDeg[v] = deg
+		c.start[v+1] = c.start[v] + deg
+	}
+	c.src = resize(c.src, int(c.start[n]))
+	fill := c.start[:n]
 	for u := 0; u < n; u++ {
-		if len(g.out[u]) == 0 {
-			danglingIDs = append(danglingIDs, int32(u))
+		for _, v := range out[u] {
+			c.src[fill[v]] = int32(u)
+			fill[v]++
+		}
+		for _, v := range d.src[d.start[u]:d.start[u+1]] {
+			c.src[fill[v]] = int32(u)
+			fill[v]++
 		}
 	}
+	copy(c.start[1:], fill)
+	c.start[0] = 0
+}
 
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	share := make([]float64, n)
-	diff := make([]float64, n)
-	copy(rank, bias)
+// biasedRank runs personalized PageRank over g with the given teleport
+// vector.
+func biasedRank(g *Graph, bias []float64, cfg Config) []float64 {
+	var c csr
+	c.transpose(g.out)
+	return rankCSR(&c, bias, cfg, &rankBufs{})
+}
 
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		// Per-source share: independent per u, one division each — the
-		// identical division the serial loop performs once per source.
-		parallel.ForGrain(n, workers, rankGrain, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				if d := len(g.out[u]); d > 0 {
-					share[u] = rank[u] / float64(d)
-				}
-			}
-		})
-		var dangling float64
-		for _, u := range danglingIDs {
-			dangling += rank[u]
+// rankCSR runs personalized PageRank with the given teleport vector
+// over an in-edge layout. Dangling mass is redistributed to the bias
+// vector. One gather kernel serves every worker count: with cfg.Workers
+// resolving above 1 on a graph of at least minParallelNodes, node
+// ranges are gathered concurrently, otherwise in one call over all
+// nodes. Each destination's sum is private to it and accumulates its
+// sources in ascending order, and the only cross-node sums (dangling
+// mass, the L1 delta) run serially in ascending node order, so scores
+// are bit-identical to biasedRankSerial at every worker count.
+//
+// The scores are returned in one of bufs' slices, valid until bufs is
+// used again.
+func rankCSR(c *csr, bias []float64, cfg Config, bufs *rankBufs) []float64 {
+	cfg = cfg.withDefaults()
+	workers := parallel.Workers(cfg.Workers)
+	if len(c.outDeg) < minParallelNodes {
+		workers = 1
+	}
+	return rankCSRWorkers(c, bias, cfg, workers, bufs)
+}
+
+// rankBufs is the power iteration's working memory; a caller that ranks
+// repeatedly keeps one to reuse it. Every slot the kernel reads is
+// written first, so stale contents never matter.
+type rankBufs struct {
+	rank, next, share, nextShare, diff []float64
+	dangling                           []int32
+}
+
+// rankCSRWorkers is rankCSR at a resolved worker count (cfg already
+// defaulted): the gather kernel over node ranges on up to workers
+// goroutines, or one call over every node when workers is 1.
+func rankCSRWorkers(c *csr, bias []float64, cfg Config, workers int, bufs *rankBufs) []float64 {
+	n := len(c.outDeg)
+	if n == 0 {
+		return nil
+	}
+	dangling := bufs.dangling[:0]
+	for u, d := range c.outDeg {
+		if d == 0 {
+			dangling = append(dangling, int32(u))
 		}
-		// Gather + update fused per destination. rank is only read and
-		// next only written within each destination's slot, so chunks
-		// are free of cross-talk at any grain or worker count.
-		parallel.ForGrain(n, workers, rankGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				var acc float64
-				for _, u := range inList[inStart[v]:inStart[v+1]] {
-					acc += share[u]
-				}
-				nv := (1-cfg.Damping)*bias[v] + cfg.Damping*(acc+dangling*bias[v])
-				diff[v] = math.Abs(nv - rank[v])
-				next[v] = nv
-			}
-		})
+	}
+	bufs.dangling = dangling
+	bufs.rank, bufs.next = resize(bufs.rank, n), resize(bufs.next, n)
+	bufs.share, bufs.nextShare = resize(bufs.share, n), resize(bufs.nextShare, n)
+	bufs.diff = resize(bufs.diff, n)
+	rank, next, share, nextShare, diff := bufs.rank, bufs.next, bufs.share, bufs.nextShare, bufs.diff
+	copy(rank, bias)
+	for u, d := range c.outDeg {
+		if d > 0 {
+			share[u] = rank[u] / float64(d)
+		}
+	}
+	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		var mass float64
+		for _, u := range dangling {
+			mass += rank[u]
+		}
+		k := gatherStep{c: c, bias: bias, rank: rank, share: share, next: next, nextShare: nextShare, diff: diff, damping: cfg.Damping, dangling: mass}
+		if workers > 1 {
+			parallel.ForGrain(n, workers, rankGrain, k.run)
+		} else {
+			k.run(0, n)
+		}
 		rank, next = next, rank
+		share, nextShare = nextShare, share
 		// L1 delta in ascending node order — the serial summation order.
 		var delta float64
-		for i := 0; i < n; i++ {
-			delta += diff[i]
+		for _, d := range diff {
+			delta += d
 		}
 		if delta < cfg.Tol {
 			break
 		}
 	}
 	return rank
+}
+
+// gatherStep is one power iteration over a node range: every
+// destination gathers its sources' shares, mixes in teleport and
+// dangling mass, and records its new rank, its new share for the next
+// iteration (the division the scatter loop performs once per source)
+// and its L1 change. A range reads only rank, share and bias and writes
+// only its own slots of next, nextShare and diff, so ranges are free of
+// cross-talk at any grain or worker count.
+type gatherStep struct {
+	c                     *csr
+	bias, rank, share     []float64
+	next, nextShare, diff []float64
+	damping, dangling     float64
+}
+
+func (k *gatherStep) run(lo, hi int) {
+	start, src, outDeg := k.c.start, k.c.src, k.c.outDeg
+	bias, rank, share := k.bias, k.rank, k.share
+	next, nextShare, diff := k.next, k.nextShare, k.diff
+	damping, dangling := k.damping, k.dangling
+	for v := lo; v < hi; v++ {
+		var acc float64
+		for _, u := range src[start[v]:start[v+1]] {
+			acc += share[u]
+		}
+		nv := (1-damping)*bias[v] + damping*(acc+dangling*bias[v])
+		diff[v] = math.Abs(nv - rank[v])
+		next[v] = nv
+		if d := outDeg[v]; d > 0 {
+			nextShare[v] = nv / float64(d)
+		}
+	}
 }
 
 func normalizeMax(r []float64) {

@@ -3,6 +3,7 @@ package trust
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,8 +39,9 @@ func bitsEqual(a, b []float64) (int, bool) {
 	return -1, true
 }
 
-// Property: TrustRank is bit-identical between the serial reference
-// (Workers=1) and the parallel path at several worker counts, on
+// Property: TrustRank is bit-identical to the scatter reference at
+// every worker count (1 runs the gather kernel in one call, the others
+// take the parallel path: every graph here is above the gate), on
 // randomized graphs with dangling nodes, parallel edges and hubs.
 func TestTrustRankParallelBitIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -50,8 +52,8 @@ func TestTrustRankParallelBitIdentityProperty(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(8); i++ {
 			seeds["n"+itoa(rng.Intn(n))] = 1 + rng.Float64()
 		}
-		ref := TrustRank(g, seeds, Config{Workers: 1})
-		for _, w := range []int{2, 3, 8, 64} {
+		ref := referenceTrustRank(g, seeds, Config{})
+		for _, w := range []int{1, 2, 3, 8, 64} {
 			got := TrustRank(g, seeds, Config{Workers: w})
 			if i, ok := bitsEqual(ref, got); !ok {
 				t.Fatalf("trial %d workers=%d: score[%d] = %x, serial %x",
@@ -68,16 +70,16 @@ func TestPageRankAndAntiTrustParallelBitIdentity(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := minParallelNodes + rng.Intn(300)
 		g := bigRandomGraph(rng, n, n*2)
-		pr1 := PageRank(g, Config{Workers: 1})
-		prN := PageRank(g, Config{Workers: 7})
-		if i, ok := bitsEqual(pr1, prN); !ok {
-			t.Fatalf("trial %d: PageRank diverges at node %d", trial, i)
-		}
+		pr := referencePageRank(g, Config{})
 		seeds := map[string]float64{"n0": 1, "n3": 1}
-		at1 := AntiTrustRank(g, seeds, Config{Workers: 1})
-		atN := AntiTrustRank(g, seeds, Config{Workers: 5})
-		if i, ok := bitsEqual(at1, atN); !ok {
-			t.Fatalf("trial %d: AntiTrustRank diverges at node %d", trial, i)
+		at := referenceTrustRank(g.Reverse(), seeds, Config{})
+		for _, w := range []int{1, 7} {
+			if i, ok := bitsEqual(pr, PageRank(g, Config{Workers: w})); !ok {
+				t.Fatalf("trial %d workers=%d: PageRank diverges at node %d", trial, w, i)
+			}
+			if i, ok := bitsEqual(at, AntiTrustRank(g, seeds, Config{Workers: w})); !ok {
+				t.Fatalf("trial %d workers=%d: AntiTrustRank diverges at node %d", trial, w, i)
+			}
 		}
 	}
 }
@@ -93,12 +95,13 @@ func TestTrustRankParallelBitIdentityNonDefaultConfig(t *testing.T) {
 		{Damping: 0.99, MaxIterations: 7},
 		{Tol: 1e-14},
 	} {
-		serial, par := cfg, cfg
-		serial.Workers, par.Workers = 1, 6
-		a := TrustRank(g, seeds, serial)
-		b := TrustRank(g, seeds, par)
-		if i, ok := bitsEqual(a, b); !ok {
-			t.Fatalf("cfg %+v: diverges at node %d", cfg, i)
+		ref := referenceTrustRank(g, seeds, cfg)
+		for _, w := range []int{1, 6} {
+			run := cfg
+			run.Workers = w
+			if i, ok := bitsEqual(ref, TrustRank(g, seeds, run)); !ok {
+				t.Fatalf("cfg %+v: diverges at node %d", run, i)
+			}
 		}
 	}
 }
@@ -110,10 +113,80 @@ func TestParallelRankAllDangling(t *testing.T) {
 	for i := 0; i < minParallelNodes+50; i++ {
 		g.Node("n" + itoa(i))
 	}
-	a := PageRank(g, Config{Workers: 1})
-	b := PageRank(g, Config{Workers: 4})
-	if i, ok := bitsEqual(a, b); !ok {
-		t.Fatalf("all-dangling graph diverges at node %d", i)
+	ref := referencePageRank(g, Config{})
+	for _, w := range []int{1, 4} {
+		if i, ok := bitsEqual(ref, PageRank(g, Config{Workers: w})); !ok {
+			t.Fatalf("workers=%d: all-dangling graph diverges at node %d", w, i)
+		}
+	}
+}
+
+// The gather kernel itself, below the gate too: at workers 1, 2 and 4
+// it must reproduce the scatter reference bit for bit on small
+// randomized graphs with self links, parallel edges and dangling
+// nodes, for the teleport vectors of TrustRank (seeded), PageRank
+// (uniform) and AntiTrustRank (seeded, reversed graph).
+func TestGatherKernelMatchesScatterReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(300)
+		g := bigRandomGraph(rng, n, rng.Intn(4*n+1))
+		seeds := map[string]float64{}
+		for i := 0; i < rng.Intn(6); i++ {
+			seeds["n"+itoa(rng.Intn(n))] = 0.5 + rng.Float64()
+		}
+		uniform := make([]float64, n)
+		for i := range uniform {
+			uniform[i] = 1 / float64(n)
+		}
+		seeded := func(g *Graph) []float64 {
+			bias := make([]float64, n)
+			for id := range bias {
+				bias[id] = seeds[g.Name(id)]
+			}
+			trustBias(bias)
+			return bias
+		}
+		rev := g.Reverse()
+		cases := []struct {
+			name string
+			g    *Graph
+			bias []float64
+		}{
+			{"TrustRank", g, seeded(g)},
+			{"PageRank", g, uniform},
+			{"AntiTrustRank", rev, seeded(rev)},
+		}
+		cfg := Config{}.withDefaults()
+		for _, tc := range cases {
+			want := biasedRankSerial(tc.g, tc.bias, cfg)
+			var c csr
+			c.transpose(tc.g.out)
+			for _, w := range []int{1, 2, 4} {
+				got := rankCSRWorkers(&c, tc.bias, cfg, w, &rankBufs{})
+				if i, ok := bitsEqual(want, got); !ok {
+					t.Fatalf("trial %d %s workers=%d: node %d = %x, reference %x",
+						trial, tc.name, w, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// The symmetrized layout csr.symmetrize fills straight from out-lists
+// must be the in-edge layout of Undirected, entry for entry.
+func TestSymmetrizeMatchesUndirected(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(200)
+		g := bigRandomGraph(rng, n, rng.Intn(5*n+1))
+		var d, got, want csr
+		d.transpose(g.out)
+		got.symmetrize(g.out, &d)
+		want.transpose(g.Undirected().out)
+		if !slices.Equal(got.start, want.start) || !slices.Equal(got.src, want.src) || !slices.Equal(got.outDeg, want.outDeg) {
+			t.Fatalf("trial %d: symmetrized layout differs from Undirected's", trial)
+		}
 	}
 }
 
