@@ -9,12 +9,12 @@
 //	experiments -figure 2            # one figure (same as -table F2)
 //	experiments -list                # list available artifacts
 //	experiments -workers 4 -all      # cap the evaluation worker pool
-//	experiments -bench-json out.json # sequential-vs-parallel benchmark
+//	experiments -bench-json out.json # worker-matrix benchmark and its gate
+//	experiments -bench-kernel-check  # kernel micro-benchmarks against their bars
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,11 +41,8 @@ func main() {
 		format      = flag.String("format", "text", "output format: text or markdown")
 		workers     = flag.Int("workers", 0, "worker-pool size for parallel evaluation (0 = GOMAXPROCS; 1 = sequential)")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		benchJSON   = flag.String("bench-json", "", "run the worker-matrix benchmark and write the JSON report to this file ('-' for stdout)")
-		kernelCheck = flag.String("bench-kernel-check", "", "re-run the feature-kernel micro-benchmarks and exit non-zero if they regressed against this baseline report (e.g. BENCH_evaluation.json); also gates the baseline's recorded parallel efficiency")
-		kernelTol   = flag.Float64("bench-tolerance", 1.5, "tolerance band for -bench-kernel-check: current speedup may be down to baseline/tol")
-		effCheck    = flag.String("bench-efficiency-check", "", "check the parallel efficiency of heavy entries in this benchmark report and exit non-zero below the floor (no re-run; reads the report only)")
-		effFloor    = flag.Float64("bench-efficiency-floor", 0, "parallel-efficiency floor for the efficiency checks (0 = the built-in default)")
+		benchJSON   = flag.String("bench-json", "", "run the worker-matrix benchmark, write the JSON report to this file ('-' for stdout) and exit non-zero unless every leg is byte-identical and heavy entries keep the parallel-efficiency floor (skipped single-core)")
+		kernelCheck = flag.Bool("bench-kernel-check", false, "run the kernel micro-benchmarks and exit non-zero if any entry misses its speedup, allocation or identity bar")
 		cpuProf     = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 		memProf     = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
 		version     = flag.Bool("version", false, "print build information and exit")
@@ -91,65 +88,16 @@ func main() {
 	// The kernel micro-benchmarks run on a fixed synthetic workload and
 	// need no dataset Env, so the regression check stays fast enough for
 	// a per-commit CI job.
-	if *kernelCheck != "" {
-		data, err := os.ReadFile(*kernelCheck)
-		if err != nil {
-			fatal(err)
-		}
-		var base bench.BenchReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			fatal(fmt.Errorf("parse baseline %s: %w", *kernelCheck, err))
-		}
+	if *kernelCheck {
 		cur := append(bench.RunKernelBenchmarks(0), bench.RunTrainingBenchmarks(0)...)
 		for _, k := range cur {
 			fmt.Printf("%-20s %10.0f ns/op naive %10.0f ns/op kernel (%5.2fx) %7.1f allocs/op naive %5.1f kernel identical=%v\n",
 				k.ID, k.NaiveNSOp, k.KernelNSOp, k.Speedup, k.NaiveAllocsOp, k.KernelAllocsOp, k.Identical)
 		}
-		if err := bench.CheckKernelRegression(cur, append(base.Kernels, base.Training...), *kernelTol); err != nil {
+		if err := bench.CheckKernelRegression(cur); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("kernel regression check passed against %s (tolerance %.2f)\n", *kernelCheck, *kernelTol)
-		if err := bench.CheckParallelEfficiency(&base, *effFloor); err != nil {
-			fatal(err)
-		}
-		if base.GoMaxProcs <= 1 || base.Workers <= 1 {
-			fmt.Printf("parallel-efficiency check skipped: baseline recorded at gomaxprocs=%d workers=%d (needs a multi-core run)\n",
-				base.GoMaxProcs, base.Workers)
-		} else {
-			fmt.Println("parallel-efficiency check passed on the baseline report")
-		}
-		return
-	}
-
-	// The efficiency check only reads an existing report (typically one a
-	// CI bench job just generated on a multi-core runner) — no dataset or
-	// re-measurement needed.
-	if *effCheck != "" {
-		data, err := os.ReadFile(*effCheck)
-		if err != nil {
-			fatal(err)
-		}
-		var rep bench.BenchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fatal(fmt.Errorf("parse report %s: %w", *effCheck, err))
-		}
-		for _, e := range rep.Entries {
-			if !e.Heavy || len(e.Legs) == 0 {
-				continue
-			}
-			last := e.Legs[len(e.Legs)-1]
-			fmt.Printf("%-4s %8v sequential, %.2fx at %d workers, efficiency %.2f, identical=%v\n",
-				e.ID, time.Duration(e.SequentialNS).Round(time.Millisecond), last.Speedup, last.Workers, last.Efficiency, e.Identical)
-		}
-		if err := bench.CheckParallelEfficiency(&rep, *effFloor); err != nil {
-			fatal(err)
-		}
-		if rep.GoMaxProcs <= 1 || rep.Workers <= 1 {
-			fmt.Printf("parallel-efficiency check skipped: report recorded at gomaxprocs=%d workers=%d (needs a multi-core run)\n",
-				rep.GoMaxProcs, rep.Workers)
-		} else {
-			fmt.Printf("parallel-efficiency check passed for %s\n", *effCheck)
-		}
+		fmt.Println("kernel regression check passed")
 		return
 	}
 
@@ -219,26 +167,24 @@ func main() {
 		if err := rep.WriteJSON(out); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("benchmark: %d artifacts, worker matrix %v, total %v sequential vs %v parallel (%.2fx, identical=%v)\n",
-			len(rep.Entries), rep.WorkerMatrix,
-			time.Duration(rep.TotalSequentialNS).Round(time.Millisecond),
-			time.Duration(rep.TotalParallelNS).Round(time.Millisecond),
-			rep.TotalSpeedup, rep.AllIdentical)
+		fmt.Printf("benchmark: %d artifacts, worker matrix %v, identical=%v\n",
+			len(rep.Entries), rep.WorkerMatrix, rep.AllIdentical)
 		for _, e := range rep.Entries {
 			if !e.Heavy {
 				continue
 			}
 			last := e.Legs[len(e.Legs)-1]
 			fmt.Printf("heavy  %-4s %8v sequential, %.2fx at %d workers, efficiency %.2f\n",
-				e.ID, time.Duration(e.SequentialNS).Round(time.Millisecond), last.Speedup, last.Workers, last.Efficiency)
+				e.ID, time.Duration(e.Legs[0].NS).Round(time.Millisecond), last.Speedup, last.Workers, last.Efficiency)
 		}
-		for _, k := range rep.Kernels {
-			fmt.Printf("kernel %-18s %.2fx faster, %.1f -> %.1f allocs/op, identical=%v\n",
-				k.ID, k.Speedup, k.NaiveAllocsOp, k.KernelAllocsOp, k.Identical)
+		if err := bench.CheckParallelEfficiency(rep); err != nil {
+			fatal(err)
 		}
-		for _, k := range rep.Training {
-			fmt.Printf("train  %-18s %.2fx faster, %.1f -> %.1f allocs/op, identical=%v\n",
-				k.ID, k.Speedup, k.NaiveAllocsOp, k.KernelAllocsOp, k.Identical)
+		if rep.GoMaxProcs <= 1 || rep.Workers <= 1 {
+			fmt.Printf("parallel-efficiency check skipped: recorded at gomaxprocs=%d workers=%d (needs a multi-core run)\n",
+				rep.GoMaxProcs, rep.Workers)
+		} else {
+			fmt.Println("parallel-efficiency check passed")
 		}
 		return
 	}

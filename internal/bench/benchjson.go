@@ -13,11 +13,6 @@ import (
 	"pharmaverify/internal/parallel"
 )
 
-// benchEpoch anchors the monotonic clock reads.
-var benchEpoch = time.Now()
-
-func monotonicNS() int64 { return int64(time.Since(benchEpoch)) }
-
 // BenchLeg is one measured run of a runner at a fixed worker count.
 type BenchLeg struct {
 	Workers int   `json:"workers"`
@@ -67,20 +62,6 @@ type BenchEntry struct {
 	// Heavy marks entries whose sequential leg reached heavyThresholdNS;
 	// only heavy entries are judged by the parallel-efficiency gate.
 	Heavy bool `json:"heavy"`
-	// SequentialNS / ParallelNS mirror the first and last legs'
-	// wall-clock times (back-compat with pre-matrix reports and the
-	// rendered table).
-	SequentialNS int64 `json:"sequential_ns"`
-	ParallelNS   int64 `json:"parallel_ns"`
-	// SequentialAllocs / ParallelAllocs are heap allocation counts
-	// (runtime.MemStats.Mallocs deltas) for the first and last legs.
-	SequentialAllocs uint64 `json:"sequential_allocs"`
-	ParallelAllocs   uint64 `json:"parallel_allocs"`
-	// SequentialBytes / ParallelBytes are TotalAlloc deltas.
-	SequentialBytes uint64 `json:"sequential_bytes"`
-	ParallelBytes   uint64 `json:"parallel_bytes"`
-	// Speedup is SequentialNS / ParallelNS.
-	Speedup float64 `json:"speedup"`
 	// Identical is the determinism check: true when every leg's rendered
 	// table bytes equal the sequential leg's exactly.
 	Identical bool `json:"identical"`
@@ -94,7 +75,7 @@ type BenchReport struct {
 	Workers int    `json:"workers"`
 	// WorkerMatrix lists the worker counts each entry was measured at,
 	// ascending; it always starts with 1 and ends with Workers.
-	WorkerMatrix []int        `json:"worker_matrix"`
+	WorkerMatrix []int `json:"worker_matrix"`
 	// NumCPU and GoMaxProcs record the host core topology the run saw
 	// (runtime.NumCPU vs the effective GOMAXPROCS); MultiCore derives
 	// from them so a single-core artifact is self-describing — its
@@ -105,24 +86,10 @@ type BenchReport struct {
 	MultiCore  bool         `json:"multi_core"`
 	GoVersion  string       `json:"go_version"`
 	Entries    []BenchEntry `json:"entries"`
-	// Kernels are the single-pass feature-kernel micro-benchmarks
-	// (naive reference vs optimized path); see kernel.go.
-	Kernels []KernelEntry `json:"kernels"`
-	// Training are the training-path kernel micro-benchmarks
-	// (ensemble selection, webgen generation); see training.go.
-	Training []KernelEntry `json:"training"`
-	// Totals across all measured entries.
-	TotalSequentialNS int64   `json:"total_sequential_ns"`
-	TotalParallelNS   int64   `json:"total_parallel_ns"`
-	TotalSpeedup      float64 `json:"total_speedup"`
 	// AllIdentical is true when every entry's parallel output matched
 	// its sequential output byte for byte.
 	AllIdentical bool `json:"all_identical"`
 }
-
-// nowNS is the monotonic clock used by the harness; a variable so tests
-// can stub it.
-var nowNS = monotonicNS
 
 // benchLeg runs one runner once with the given process-wide default
 // worker count on a fresh result cache, returning the rendered table
@@ -141,9 +108,9 @@ func benchLeg(base *Env, r Runner, workers int) (out []byte, leg BenchLeg, err e
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := nowNS()
+	start := time.Now()
 	tab, err := r.Run(e)
-	ns := nowNS() - start
+	ns := int64(time.Since(start))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return nil, BenchLeg{}, fmt.Errorf("%s: %w", r.ID, err)
@@ -182,7 +149,7 @@ func workerMatrix(max int) []int {
 // workerMatrix(workers) — 1 is the sequential baseline — and reports
 // wall time, allocations, speedup, per-leg parallel efficiency, and
 // whether every leg's rendered output is byte-identical to the
-// baseline's, plus the feature-kernel micro-benchmarks (kernel.go).
+// baseline's.
 // ids selects runner IDs; nil means every runner in the registry.
 // workers <= 0 uses the machine's CPU count for the widest leg, so the
 // recorded numbers reflect an actually-parallel run even under a
@@ -239,25 +206,9 @@ func RunBenchmark(e *Env, ids []string, workers int) (*BenchReport, error) {
 			}
 			entry.Legs = append(entry.Legs, leg)
 		}
-		first, last := entry.Legs[0], entry.Legs[len(entry.Legs)-1]
-		entry.Heavy = first.NS >= heavyThresholdNS
-		entry.SequentialNS, entry.SequentialAllocs, entry.SequentialBytes = first.NS, first.Allocs, first.Bytes
-		entry.ParallelNS, entry.ParallelAllocs, entry.ParallelBytes = last.NS, last.Allocs, last.Bytes
-		entry.Speedup = last.Speedup
+		entry.Heavy = entry.Legs[0].NS >= heavyThresholdNS
 		rep.Entries = append(rep.Entries, entry)
-		rep.TotalSequentialNS += first.NS
-		rep.TotalParallelNS += last.NS
 		if !entry.Identical {
-			rep.AllIdentical = false
-		}
-	}
-	if rep.TotalParallelNS > 0 {
-		rep.TotalSpeedup = float64(rep.TotalSequentialNS) / float64(rep.TotalParallelNS)
-	}
-	rep.Kernels = RunKernelBenchmarks(DefaultKernelBenchtime)
-	rep.Training = RunTrainingBenchmarks(DefaultKernelBenchtime)
-	for _, k := range append(append([]KernelEntry(nil), rep.Kernels...), rep.Training...) {
-		if !k.Identical {
 			rep.AllIdentical = false
 		}
 	}
@@ -265,8 +216,7 @@ func RunBenchmark(e *Env, ids []string, workers int) (*BenchReport, error) {
 }
 
 // DefaultEfficiencyFloor is the parallel-efficiency minimum enforced by
-// CheckParallelEfficiency when the caller passes a non-positive floor.
-// 0.35 means the widest leg must convert at least 35% of its extra
+// CheckParallelEfficiency. 0.35 means the widest leg must convert at least 35% of its extra
 // workers into speedup on heavy entries — e.g. >= 1.4x at 4 workers —
 // lax enough for hyperthreaded CI runners, strict enough to catch an
 // accidentally serialized pipeline (efficiency 1/N: 0.25 at 4 workers,
@@ -275,23 +225,20 @@ const DefaultEfficiencyFloor = 0.35
 
 // CheckParallelEfficiency gates multi-core scaling: every heavy entry
 // (sequential leg >= 1 s) must keep the parallel efficiency of its
-// widest leg at or above floor, and every leg must have stayed
-// byte-identical to the sequential baseline. Reports recorded with
+// widest leg at or above DefaultEfficiencyFloor, and every leg must
+// have stayed byte-identical to the sequential baseline. Reports recorded with
 // GOMAXPROCS=1 or a 1-worker matrix are skipped with a nil error —
 // worker counts beyond the scheduler's parallelism measure goroutine
 // switching, not scaling — so single-core dev machines can still run
 // the harness; CI provides the multi-core enforcement run.
-func CheckParallelEfficiency(rep *BenchReport, floor float64) error {
-	if floor <= 0 {
-		floor = DefaultEfficiencyFloor
-	}
+func CheckParallelEfficiency(rep *BenchReport) error {
 	if rep.GoMaxProcs <= 1 || rep.Workers <= 1 {
 		return nil
 	}
 	heavy := 0
 	for _, e := range rep.Entries {
 		if len(e.Legs) == 0 {
-			return fmt.Errorf("bench: entry %s has no legs (pre-matrix report? regenerate with `experiments -bench-json`)", e.ID)
+			return fmt.Errorf("bench: entry %s has no legs", e.ID)
 		}
 		if !e.Identical {
 			return fmt.Errorf("bench: entry %s: parallel output no longer byte-identical to the sequential baseline", e.ID)
@@ -301,9 +248,9 @@ func CheckParallelEfficiency(rep *BenchReport, floor float64) error {
 		}
 		heavy++
 		last := e.Legs[len(e.Legs)-1]
-		if last.Efficiency < floor {
+		if last.Efficiency < DefaultEfficiencyFloor {
 			return fmt.Errorf("bench: entry %s: parallel efficiency %.2f at %d workers below the %.2f floor (speedup %.2fx)",
-				e.ID, last.Efficiency, last.Workers, floor, last.Speedup)
+				e.ID, last.Efficiency, last.Workers, DefaultEfficiencyFloor, last.Speedup)
 		}
 	}
 	if heavy == 0 {

@@ -43,9 +43,7 @@ func scalingEntry(id string, workers int, eff float64) BenchEntry {
 			{Workers: 1, NS: seq, Speedup: 1, Efficiency: 1, Identical: true},
 			{Workers: workers, NS: int64(float64(seq) / speedup), Speedup: speedup, Efficiency: eff, Identical: true},
 		},
-		SequentialNS: seq,
-		Speedup:      speedup,
-		Identical:    true,
+		Identical: true,
 	}
 }
 
@@ -67,14 +65,14 @@ func TestCheckParallelEfficiencyPasses(t *testing.T) {
 			Legs: []BenchLeg{{Workers: 1, Speedup: 1, Efficiency: 1, Identical: true},
 				{Workers: 4, Speedup: 0.9, Efficiency: 0.225, Identical: true}}},
 	)
-	if err := CheckParallelEfficiency(rep, 0.35); err != nil {
+	if err := CheckParallelEfficiency(rep); err != nil {
 		t.Fatalf("healthy report rejected: %v", err)
 	}
 }
 
 func TestCheckParallelEfficiencyFailsBelowFloor(t *testing.T) {
 	rep := multiCoreReport(scalingEntry("7", 4, 0.80), scalingEntry("8", 4, 0.20))
-	err := CheckParallelEfficiency(rep, 0.35)
+	err := CheckParallelEfficiency(rep)
 	if err == nil || !strings.Contains(err.Error(), "efficiency") {
 		t.Fatalf("err = %v, want efficiency failure", err)
 	}
@@ -85,11 +83,11 @@ func TestCheckParallelEfficiencyFailsBelowFloor(t *testing.T) {
 
 func TestCheckParallelEfficiencyDefaultFloor(t *testing.T) {
 	rep := multiCoreReport(scalingEntry("7", 4, DefaultEfficiencyFloor-0.05))
-	if err := CheckParallelEfficiency(rep, 0); err == nil {
-		t.Fatal("non-positive floor must fall back to the default, not disable the gate")
+	if err := CheckParallelEfficiency(rep); err == nil {
+		t.Fatal("entry below the default floor passed")
 	}
 	rep2 := multiCoreReport(scalingEntry("7", 4, DefaultEfficiencyFloor+0.05))
-	if err := CheckParallelEfficiency(rep2, 0); err != nil {
+	if err := CheckParallelEfficiency(rep2); err != nil {
 		t.Fatalf("entry above the default floor rejected: %v", err)
 	}
 }
@@ -99,12 +97,12 @@ func TestCheckParallelEfficiencySkipsSingleCore(t *testing.T) {
 	// not scaling: the gate must pass it through untouched.
 	rep := multiCoreReport(scalingEntry("7", 4, 0.10))
 	rep.GoMaxProcs = 1
-	if err := CheckParallelEfficiency(rep, 0.35); err != nil {
+	if err := CheckParallelEfficiency(rep); err != nil {
 		t.Fatalf("gomaxprocs=1 report not skipped: %v", err)
 	}
 	rep = multiCoreReport(scalingEntry("7", 1, 0.10))
 	rep.Workers = 1
-	if err := CheckParallelEfficiency(rep, 0.35); err != nil {
+	if err := CheckParallelEfficiency(rep); err != nil {
 		t.Fatalf("workers=1 report not skipped: %v", err)
 	}
 }
@@ -112,15 +110,15 @@ func TestCheckParallelEfficiencySkipsSingleCore(t *testing.T) {
 func TestCheckParallelEfficiencyRejectsNonIdentical(t *testing.T) {
 	bad := scalingEntry("7", 4, 0.80)
 	bad.Identical = false
-	err := CheckParallelEfficiency(multiCoreReport(bad), 0.35)
+	err := CheckParallelEfficiency(multiCoreReport(bad))
 	if err == nil || !strings.Contains(err.Error(), "identical") {
 		t.Fatalf("err = %v, want byte-identity failure", err)
 	}
 }
 
 func TestCheckParallelEfficiencyRejectsPreMatrixReports(t *testing.T) {
-	legless := BenchEntry{ID: "7", Heavy: true, Identical: true, SequentialNS: 2e9}
-	err := CheckParallelEfficiency(multiCoreReport(legless), 0.35)
+	legless := BenchEntry{ID: "7", Heavy: true, Identical: true}
+	err := CheckParallelEfficiency(multiCoreReport(legless))
 	if err == nil || !strings.Contains(err.Error(), "legs") {
 		t.Fatalf("err = %v, want pre-matrix rejection", err)
 	}
@@ -129,7 +127,7 @@ func TestCheckParallelEfficiencyRejectsPreMatrixReports(t *testing.T) {
 func TestCheckParallelEfficiencyNeedsHeavyEntries(t *testing.T) {
 	light := scalingEntry("1", 4, 0.9)
 	light.Heavy = false
-	err := CheckParallelEfficiency(multiCoreReport(light), 0.35)
+	err := CheckParallelEfficiency(multiCoreReport(light))
 	if err == nil || !strings.Contains(err.Error(), "heavy") {
 		t.Fatalf("err = %v, want no-heavy-entries failure", err)
 	}

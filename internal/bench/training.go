@@ -76,9 +76,8 @@ func worldsIdentical(a, b *webgen.World) bool {
 // their naive references on fixed synthetic workloads: the kernelized
 // greedy ensemble selection vs SelectGreedyReference, and pooled
 // parallel webgen generation vs GenerateReference. benchtime <= 0 uses
-// DefaultKernelBenchtime per measurement. Entries land in the report's
-// "training" section and are gated by the same floors/ratios as the
-// feature kernels (see CheckKernelRegression).
+// DefaultKernelBenchtime per measurement. Entries are gated by the same
+// bars as the feature kernels (see CheckKernelRegression).
 func RunTrainingBenchmarks(benchtime time.Duration) []KernelEntry {
 	if benchtime <= 0 {
 		benchtime = DefaultKernelBenchtime

@@ -95,7 +95,11 @@ func TestFeatureCacheDistinctSnapshots(t *testing.T) {
 	if ngA == ngB {
 		t.Fatal("distinct snapshots share one cached NGG fold set")
 	}
-	if hits, misses, _ := FeatureCacheStats(); hits == 0 || misses == 0 {
+	var hits, misses uint64
+	for _, st := range FeatureCacheScopeStats() {
+		hits, misses = hits+st.Hits, misses+st.Misses
+	}
+	if hits == 0 || misses == 0 {
 		t.Errorf("cache stats implausible: hits=%d misses=%d", hits, misses)
 	}
 }

@@ -64,12 +64,6 @@ var featureCache = featcache.New(128)
 // the full, cold-cache cost.
 func ResetFeatureCache() { featureCache.Purge() }
 
-// FeatureCacheStats reports hit/miss/eviction counts of the shared
-// feature cache since the last reset.
-func FeatureCacheStats() (hits, misses, evictions uint64) {
-	return featureCache.Stats()
-}
-
 // textCorpus memoizes the tokenized, subsampled corpus (and its
 // vocabulary) for a snapshot/terms/seed combination — the vocabulary
 // build is shared by every classifier and both weighting schemes.

@@ -108,6 +108,21 @@ type Assessment struct {
 	Rank float64
 }
 
+// FusedLegitimate is the OPC decision rule over the sources that voted:
+// the equal-weight mean of their P(legitimate), summed in order as
+// ensemble.AverageSelected sums a selected bag, compared with 0.5. No
+// votes give the neutral 0.5, so an empty list is legitimate.
+func FusedLegitimate(probs ...float64) bool {
+	if len(probs) == 0 {
+		return true
+	}
+	var sum float64
+	for _, p := range probs {
+		sum += p
+	}
+	return sum/float64(len(probs)) >= 0.5
+}
+
 // ErrNoTraining is returned when Train receives an empty snapshot.
 var ErrNoTraining = errors.New("core: empty training snapshot")
 
@@ -244,7 +259,7 @@ func (v *Verifier) Assess(pharmacies []dataset.Pharmacy) []Assessment {
 		netProb := v.netClf.Prob(ml.NewVector([]float64{ts}))
 		out[i] = Assessment{
 			Domain:      p.Domain,
-			Legitimate:  (textProb+netProb)/2 >= 0.5,
+			Legitimate:  FusedLegitimate(textProb, netProb),
 			TextProb:    textProb,
 			TrustScore:  ts,
 			NetworkProb: netProb,

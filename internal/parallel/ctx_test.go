@@ -47,9 +47,16 @@ func TestForCtxCancelTruncates(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n = 200
 		var calls atomic.Int64
+		// Calls after #5 wait for its cancel to return, so a worker
+		// descheduled inside call #5 cannot let the others run the range.
+		cancelled := make(chan struct{})
 		err := ForCtx(ctx, n, workers, func(i int) {
-			if calls.Add(1) == 5 {
+			switch c := calls.Add(1); {
+			case c == 5:
 				cancel()
+				close(cancelled)
+			case c > 5:
+				<-cancelled
 			}
 		})
 		cancel()

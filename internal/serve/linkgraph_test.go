@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -168,5 +169,46 @@ func TestServedTrustRankMatchesOffline(t *testing.T) {
 			s.SwapModel(swapped)
 			checkServedTrust(t, "after a model swap", s, swapped, serve(cold[0], true))
 		})
+	}
+}
+
+// linklessFetcher serves the test world plus linklessDomain: one page
+// that links nowhere.
+type linklessFetcher struct{ inner crawler.Fetcher }
+
+const linklessDomain = "linkless-pharmacy.example"
+
+func (f linklessFetcher) Fetch(domain, path string) (string, error) {
+	if domain == linklessDomain && path == "/" {
+		return `<html><head><title>Pharmacy</title></head><body><p>order prescription medicine from our licensed pharmacy</p></body></html>`, nil
+	}
+	return f.inner.Fetch(domain, path)
+}
+
+// TestLinklessDomainIsScored: a crawled domain with no external links
+// is a node of the offline graph, so the network source votes for it
+// with the offline score, and repeated refresh=true requests, which
+// re-fold the same empty link list, cost no TrustRank refresh after
+// the first.
+func TestLinklessDomainIsScored(t *testing.T) {
+	w, _, v := testVerifier(t)
+	s, ts := newTestServer(t, Config{Fetcher: linklessFetcher{w}})
+	var first uint64
+	for i := 0; i < 4; i++ {
+		code, resp, _ := postVerify(t, ts.URL, VerifyRequest{Domain: linklessDomain, Refresh: true})
+		if code != http.StatusOK || len(resp.Results) != 1 {
+			t.Fatalf("request %d: code %d, %+v", i, code, resp.Results)
+		}
+		checkServedTrust(t, fmt.Sprintf("request %d", i), s, v, resp.Results[0])
+		if !slices.ContainsFunc(resp.Results[0].Sources, func(c SourceContribution) bool { return c.Name == "network" }) {
+			t.Fatalf("request %d: no network contribution in %+v", i, resp.Results[0].Sources)
+		}
+		// graphRefreshes backs pharmaverify_linkgraph_refreshes_total.
+		refreshes := s.met.graphRefreshes.value()
+		if i == 0 {
+			first = refreshes
+		} else if refreshes != first {
+			t.Fatalf("request %d: %d TrustRank refreshes, %d after the first request", i, refreshes, first)
+		}
 	}
 }

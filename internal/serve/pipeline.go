@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"pharmaverify/internal/core"
 	"pharmaverify/internal/crawler"
 	"pharmaverify/internal/dataset"
-	"pharmaverify/internal/ml/ensemble"
 	"pharmaverify/internal/textproc"
 	"pharmaverify/internal/trust"
 )
@@ -303,14 +303,8 @@ func (s *Server) fuse(ctx context.Context, slot *modelSlot, p dataset.Pharmacy) 
 		return DomainVerdict{}, fmt.Errorf("%w: %d of %d required sources voted for %s",
 			errInsufficientEvidence, len(probs), s.cfg.MinEvidence, p.Domain)
 	}
-	// Equal-weight selection over every contributing source — the same
-	// averaging the offline ensemble applies to its selected bag.
-	sel := make([]int, len(probs))
-	for i := range sel {
-		sel[i] = i
-	}
-	fused := ensemble.AverageSelected(sel, probs)
-	v.Legitimate = fused >= 0.5
+	// The offline decision rule over every contributing source.
+	v.Legitimate = core.FusedLegitimate(probs...)
 	// Rank keeps the paper's OPR semantics: textRank + networkRank.
 	v.Rank = v.TextProb + v.TrustScore
 	if v.Legitimate {

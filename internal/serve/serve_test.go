@@ -936,11 +936,11 @@ func TestRegistryEvidenceJoinsFusion(t *testing.T) {
 	if len(got.Sources) != 3 || got.Sources[2].Name != "registry" || got.Sources[2].Prob != 1 {
 		t.Fatalf("sources %+v, want text+network plus a registry vote of 1", got.Sources)
 	}
-	var sum float64
+	var probs []float64
 	for _, c := range got.Sources {
-		sum += c.Prob
+		probs = append(probs, c.Prob)
 	}
-	if want := sum/float64(len(got.Sources)) >= 0.5; got.Legitimate != want {
+	if want := core.FusedLegitimate(probs...); got.Legitimate != want {
 		t.Errorf("Legitimate = %v, want the fused average rule (%v) over %+v", got.Legitimate, want, got.Sources)
 	}
 

@@ -6,7 +6,6 @@ import (
 
 	"pharmaverify/internal/core"
 	"pharmaverify/internal/dataset"
-	"pharmaverify/internal/ml/ensemble"
 )
 
 // Shadow deployment: a candidate model rides along with the live one,
@@ -138,14 +137,9 @@ func (s *Server) shadowAssess(st *shadowState, p dataset.Pharmacy, live *DomainV
 	if len(probs) == 0 {
 		return
 	}
-	sel := make([]int, len(probs))
-	for i := range sel {
-		sel[i] = i
-	}
-	fused := ensemble.AverageSelected(sel, probs)
 	st.assessed.Add(1)
 	s.met.shadowAssessments.inc()
-	if (fused >= 0.5) != live.Legitimate {
+	if core.FusedLegitimate(probs...) != live.Legitimate {
 		st.flips.Add(1)
 		s.met.shadowFlips.inc()
 	}

@@ -79,7 +79,8 @@ func FuzzOutboundEndpoints(f *testing.F) {
 // FuzzLiveGraphFold decodes its input into a sequence of folds over a
 // small name space (each line "source endpoint…"; the first two bytes
 // set the node bound and the per-fold cap) and checks after every fold
-// that the node bound holds, that no source links to itself or repeats
+// that an admitted domain is a source, even with no endpoints, that the
+// node bound holds, that no source links to itself or repeats
 // an endpoint, that the per-fold cap holds, that interning round-trips
 // (every admitted name's id maps back to it, ids are dense), and that
 // the edge count matches the stored lists. At the end, a Ranker over the
@@ -88,6 +89,7 @@ func FuzzLiveGraphFold(f *testing.F) {
 	f.Add([]byte("\x05\x03a b c\nb a a c\nd a\na\nb b\nc d e f g"))
 	f.Add([]byte("\x02\x01x y z\ny x\nw x"))
 	f.Add([]byte("\x00\x00p q\np q\np r q"))
+	f.Add([]byte("\x05\x03lone\nx y\ny\ny y"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -106,6 +108,9 @@ func FuzzLiveGraphFold(f *testing.F) {
 			admitted := g.Fold(fields[0], fields[1:])
 			if admitted != g.Contains(fields[0]) {
 				t.Fatalf("Fold(%q) reported admitted=%v, Contains=%v", fields[0], admitted, g.Contains(fields[0]))
+			}
+			if out, _ := g.SnapshotOutbound(); admitted && out[fields[0]] == nil {
+				t.Fatalf("Fold(%q) admitted the domain but installed no source", fields[0])
 			}
 			checkLiveInvariants(t, g, maxNodes, maxOut)
 		}

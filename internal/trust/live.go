@@ -132,8 +132,10 @@ func (l *LiveGraph) Fold(domain string, endpoints []string) bool {
 		l.mark[id] = l.stamp
 		kept = append(kept, id)
 	}
+	// kept is never nil, so a first fold with no endpoints still installs
+	// the domain as a source (a node, as BuildGraph makes every key one).
 	prev := l.out[src]
-	if slices.Equal(prev, kept) {
+	if prev != nil && slices.Equal(prev, kept) {
 		return true
 	}
 	if prev == nil {

@@ -2,8 +2,10 @@ package trust
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -111,4 +113,34 @@ func TestRankedIsImmutable(t *testing.T) {
 	live.Fold("a.com", []string{"z.org"})
 	r.Rank()
 	checkRanked(t, "after later folds", first, built, want, []string{"d.com", "y.org", "z.org"})
+}
+
+// TestRankerScoresLinklessDomains: BuildGraph makes every key of its
+// map a node, so a crawled domain with no outbound links — new, an
+// endpoint until now, or a base source that lost its links — is a node
+// the ranker must score like the offline construction, and each such
+// fold changes the graph's version.
+func TestRankerScoresLinklessDomains(t *testing.T) {
+	base := map[string][]string{"a.com": {"hub.org"}, "b.com": {"hub.org", "x.org"}}
+	seeds := map[string]float64{"a.com": 1}
+	for _, directed := range []bool{false, true} {
+		live := NewLiveGraph(LiveConfig{})
+		r := NewRanker(NewBase(base, seeds), live, directed, Config{})
+		merged := maps.Clone(base)
+		for i, fold := range []string{"lone.com", "c.com x.org end.org", "end.org", "b.com"} {
+			f := strings.Fields(fold)
+			live.Fold(f[0], f[1:])
+			if v := live.Version(); v != uint64(i+1) {
+				t.Fatalf("fold of %s left version %d, want %d", f[0], v, i+1)
+			}
+			merged[f[0]] = f[1:]
+			built := BuildGraph(merged)
+			g := built
+			if !directed {
+				g = built.Undirected()
+			}
+			step := fmt.Sprintf("directed=%v after folding %s", directed, f[0])
+			checkRanked(t, step, r.Rank(), built, TrustRank(g, seeds, Config{}), []string{"lone.com", "end.org"})
+		}
+	}
 }
