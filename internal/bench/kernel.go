@@ -234,10 +234,11 @@ func RunKernelBenchmarks(benchtime time.Duration) []KernelEntry {
 	w := newKernelWorkload()
 	var entries []KernelEntry
 
-	// Text to 8-feature vector against both classes: the path
-	// NGGFeatureDataset and the daemon's featurize stage take per
-	// document. Naive = FromDocument + the four standalone functions per
-	// class; kernel = pooled builder + single-pass CompareBoth.
+	// Text to 8-feature vector against map-based class graphs, one
+	// document at a time (the daemon never featurizes with n-gram
+	// graphs; training folds use the interned ngram.Corpus). Naive =
+	// FromDocument + the four standalone functions per class; kernel =
+	// pooled builder + single-pass CompareBoth.
 	{
 		e := KernelEntry{
 			ID:        "ngg-compare-both",

@@ -6,8 +6,41 @@ import (
 	"testing"
 
 	"pharmaverify/internal/featcache"
+	"pharmaverify/internal/ml"
 	"pharmaverify/internal/ngram"
 )
+
+// NGGFeatureDataset is the map-based reference for the plane's
+// feature pass: the 8-feature similarity dataset of Figure 2 for the
+// given document texts, with class graphs merged from the instances
+// listed in classIdx and every document graph built from its text.
+func NGGFeatureDataset(docs []string, labels []int, names []string, classIdx []int) *ml.Dataset {
+	legit, illegit := nggClassGraphs(docs, labels, classIdx)
+	ds := &ml.Dataset{Dim: 8}
+	for i, doc := range docs {
+		name := ""
+		if names != nil {
+			name = names[i]
+		}
+		ds.Add(ml.NewVector(ngram.DocFeatures(nil, doc, legit, illegit)), labels[i], name)
+	}
+	return ds
+}
+
+// nggClassGraphs builds the map-based per-class merged graphs from the
+// instances listed in classIdx, in classIdx order.
+func nggClassGraphs(docs []string, labels []int, classIdx []int) (legit, illegit *ngram.Graph) {
+	legit, illegit = ngram.New(), ngram.New()
+	for _, i := range classIdx {
+		g := ngram.FromDocument(docs[i])
+		if labels[i] == ml.Legitimate {
+			legit.Merge(g)
+		} else {
+			illegit.Merge(g)
+		}
+	}
+	return legit, illegit
+}
 
 // TestPlaneFeatureDatasetMatchesNaive is the bit-identity property of
 // the shared training plane: for randomized class-index halves and
@@ -90,18 +123,16 @@ func TestPlaneGenerationStamps(t *testing.T) {
 	}
 }
 
-// TestPlaneScopedCacheStats checks that training-plane traffic lands on
-// the training scope counters and the TF-IDF artifacts on the serving
-// scope, with both scopes always present in the exported map.
+// TestPlaneScopedCacheStats checks that training-plane traffic and the
+// TF-IDF artifacts land on the training scope counters, with the scope
+// always present in the exported map.
 func TestPlaneScopedCacheStats(t *testing.T) {
 	snap := testSnapshot(t, 1)
 	ResetFeatureCache()
 
 	stats := FeatureCacheScopeStats()
-	for _, scope := range []string{featcache.ScopeTraining, featcache.ScopeServing} {
-		if st, ok := stats[scope]; !ok || st.Hits != 0 || st.Misses != 0 {
-			t.Fatalf("scope %q not zeroed after reset: %+v (present=%v)", scope, st, ok)
-		}
+	if st, ok := stats[featcache.ScopeTraining]; !ok || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("training scope not zeroed after reset: %+v (present=%v)", st, ok)
 	}
 
 	trainingPlaneFor(snap, 100, 7)                                       // miss
@@ -109,17 +140,18 @@ func TestPlaneScopedCacheStats(t *testing.T) {
 	TFIDFDataset(snap, TextConfig{Classifier: SVM, Terms: 100, Seed: 7}) // 2 misses (corpus + dataset)
 
 	stats = FeatureCacheScopeStats()
-	if st := stats[featcache.ScopeTraining]; st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("training scope = %+v, want 1 hit / 1 miss", st)
+	if st := stats[featcache.ScopeTraining]; st.Misses != 3 || st.Hits != 1 {
+		t.Errorf("training scope = %+v, want 1 hit / 3 misses", st)
 	}
-	if st := stats[featcache.ScopeServing]; st.Misses != 2 || st.Hits != 0 {
-		t.Errorf("serving scope = %+v, want 0 hits / 2 misses", st)
+	if len(stats) != 1 {
+		t.Errorf("scopes = %v, want the training scope alone", stats)
 	}
 }
 
 // TestPlaneFeaturePassAllocs pins the per-document cost of the plane's
-// feature pass: with graphs prebuilt, one document costs exactly the
-// row slice and its vector wrapper — no graph construction allocations.
+// feature pass: with the corpus interned and the class graphs merged,
+// one document costs exactly its row — no graph construction and no
+// map traffic.
 func TestPlaneFeaturePassAllocs(t *testing.T) {
 	snap := testSnapshot(t, 1)
 	plane := trainingPlaneFor(snap, 100, 3)
@@ -129,7 +161,7 @@ func TestPlaneFeaturePassAllocs(t *testing.T) {
 
 	var row []float64
 	allocs := testing.AllocsPerRun(50, func() {
-		row = ngram.Features(plane.graphs[9], legit, illegit)
+		row = plane.corpus.Features(9, legit, illegit)
 	})
 	if row == nil {
 		t.Fatal("no features produced")

@@ -9,7 +9,6 @@ import (
 	"pharmaverify/internal/eval"
 	"pharmaverify/internal/featcache"
 	"pharmaverify/internal/ml"
-	"pharmaverify/internal/ngram"
 	"pharmaverify/internal/parallel"
 	"pharmaverify/internal/vectorize"
 )
@@ -69,7 +68,7 @@ func ResetFeatureCache() { featureCache.Purge() }
 // build is shared by every classifier and both weighting schemes.
 func textCorpus(snap *dataset.Snapshot, terms int, seed int64) *vectorize.Corpus {
 	key := fmt.Sprintf("corpus|%s|%d|%d", snap.ContentHash(), terms, seed)
-	v, _ := featureCache.DoScoped(featcache.ScopeServing, key, func() (any, error) {
+	v, _ := featureCache.DoScoped(featcache.ScopeTraining, key, func() (any, error) {
 		docs := snap.SubsampledTerms(terms, seed)
 		return vectorize.NewCorpus(docs, snap.Labels(), snap.Domains()), nil
 	})
@@ -91,7 +90,7 @@ func TFIDFDataset(snap *dataset.Snapshot, cfg TextConfig) *ml.Dataset {
 		w = vectorize.WeightCounts
 	}
 	key := fmt.Sprintf("tv|%s|%d|%d|%d", snap.ContentHash(), cfg.Terms, cfg.Seed, w)
-	v, _ := featureCache.DoScoped(featcache.ScopeServing, key, func() (any, error) {
+	v, _ := featureCache.DoScoped(featcache.ScopeTraining, key, func() (any, error) {
 		return textCorpus(snap, cfg.Terms, cfg.Seed).Dataset(w), nil
 	})
 	return v.(*ml.Dataset)
@@ -159,71 +158,6 @@ func nggDocuments(snap *dataset.Snapshot, terms int, seed int64) []string {
 		docs[i] = strings.Join(ts, " ")
 	}
 	return docs
-}
-
-// nggDocGrain is the number of documents one worker takes per dispatch
-// in the fine-grained N-Gram-Graph passes (featurization, text ranks).
-// One document costs tens of microseconds, so ~16 per chunk makes the
-// chunk body a few hundred microseconds — large against the goroutine
-// handoff, small enough to keep the tail balanced on uneven documents.
-const nggDocGrain = 16
-
-// NGGFeatureDataset builds the 8-feature similarity dataset of Figure 2
-// for the given document texts, using class graphs merged from the
-// instances listed in classIdx (typically a random half of the training
-// fold, following the paper's protocol).
-//
-// This is the standalone (per-call graph construction) path. The
-// training pipeline itself goes through the shared trainingPlane
-// (featplane.go), which prebuilds every document graph once and hands
-// bit-identical feature rows to all folds; this function remains the
-// reference the plane is pinned against and the entry point for
-// callers without a snapshot (ad-hoc document sets).
-func NGGFeatureDataset(docs []string, labels []int, names []string, classIdx []int) *ml.Dataset {
-	legitClass, illegitClass := nggClassGraphs(docs, labels, classIdx)
-
-	// Feature pass: document graphs are built, compared and discarded
-	// one at a time per worker, so memory stays bounded by the two
-	// class graphs plus one document graph per CPU regardless of corpus
-	// size.
-	ds := &ml.Dataset{Dim: 8}
-	feats := make([][]float64, len(docs))
-	// Grain-aware fan-out: per-document featurization is fine-grained
-	// (tens of microseconds), so documents are handed out in contiguous
-	// chunks rather than one index per dispatch — the goroutine handoff
-	// amortizes across the chunk and each worker's pooled builder scratch
-	// stays hot for a whole run of documents.
-	parallel.ForGrain(len(docs), 0, nggDocGrain, func(lo, hi int) {
-		// Pooled single-pass kernel: one traversal of the document graph
-		// computes all eight similarities, with the graph's scratch
-		// (maps, buffers) reused across the worker's documents.
-		for i := lo; i < hi; i++ {
-			feats[i] = ngram.DocFeatures(nil, docs[i], legitClass, illegitClass)
-		}
-	})
-	for i, f := range feats {
-		name := ""
-		if names != nil {
-			name = names[i]
-		}
-		ds.Add(ml.NewVector(f), labels[i], name)
-	}
-	return ds
-}
-
-// nggClassGraphs builds the per-class merged graphs from the instances
-// listed in classIdx, streaming one document graph at a time.
-func nggClassGraphs(docs []string, labels []int, classIdx []int) (legit, illegit *ngram.Graph) {
-	legit, illegit = ngram.New(), ngram.New()
-	for _, i := range classIdx {
-		g := ngram.FromDocument(docs[i])
-		if labels[i] == ml.Legitimate {
-			legit.Merge(g)
-		} else {
-			illegit.Merge(g)
-		}
-	}
-	return legit, illegit
 }
 
 // nggFoldData caches the per-fold N-Gram-Graph feature datasets, which

@@ -46,21 +46,14 @@ type Cache struct {
 	shards []*shard
 }
 
-// Well-known scopes used by the evaluation and serving pipelines. The
-// scope mechanism is generic (any string works); these two names are
-// shared so that /metrics, the bench harness and the core package agree
-// on what they call the same counters.
-const (
-	// ScopeTraining tags the shared training-plane artifacts: the
-	// per-corpus document-graph plane and the per-fold feature matrices
-	// every ensemble member reads. Hits here are the shared-matrix
-	// reuse the training kernels exist to create.
-	ScopeTraining = "training"
-	// ScopeServing tags corpus-level artifacts reachable from serving
-	// boxes (vocabulary corpora, TF-IDF datasets): table sweeps and the
-	// daemon's in-process retrain path hit these.
-	ScopeServing = "serving"
-)
+// ScopeTraining is the well-known scope of the training pipeline:
+// every feature artifact the core package memoizes — the per-corpus
+// n-gram-graph plane, the per-fold feature matrices every ensemble
+// member reads, and the TF-IDF corpora and datasets. The scope
+// mechanism is generic (any string works); the name is shared so that
+// /metrics, the bench harness and the core package agree on what they
+// call the same counters.
+const ScopeTraining = "training"
 
 // CacheStats is one scope's hit/miss counters.
 type CacheStats struct {
@@ -77,8 +70,8 @@ type shard struct {
 
 	hits, misses, evictions uint64
 	// scopes splits hits/misses by the caller-declared scope of each
-	// DoScoped call, so training-plane reuse is distinguishable from
-	// serving-path traffic. Unscoped Do calls count under "".
+	// DoScoped call, so one caller's reuse is distinguishable from
+	// another's. Unscoped Do calls count under "".
 	scopes map[string]*CacheStats
 }
 
@@ -181,7 +174,7 @@ func (c *Cache) Do(key string, build func() (any, error)) (any, error) {
 }
 
 // DoScoped is Do with the hit/miss attributed to a named scope (see
-// ScopeTraining / ScopeServing), so callers sharing one cache can tell
+// ScopeTraining), so callers sharing one cache can tell
 // whose entries are being reused. The scope is an accounting label
 // only: it does not partition the key space, and two callers using the
 // same key under different scopes share one entry (the first builder's

@@ -362,6 +362,9 @@ func TestCancellationEvictionLeavesFreshFlightAlone(t *testing.T) {
 	}
 }
 
+// scopeOther is a second scope label besides ScopeTraining.
+const scopeOther = "serving"
+
 func TestScopedStatsSeparateTrainingFromServing(t *testing.T) {
 	c := New(8)
 	build := func(v any) func() (any, error) {
@@ -371,17 +374,17 @@ func TestScopedStatsSeparateTrainingFromServing(t *testing.T) {
 	c.DoScoped(ScopeTraining, "plane|a", build(1))
 	c.DoScoped(ScopeTraining, "plane|a", build(1))
 	c.DoScoped(ScopeTraining, "plane|a", build(1))
-	// Serving path: two distinct artifacts, one reuse.
-	c.DoScoped(ScopeServing, "tv|a", build(2))
-	c.DoScoped(ScopeServing, "tv|b", build(3))
-	c.DoScoped(ScopeServing, "tv|a", build(2))
+	// Another caller: two distinct artifacts, one reuse.
+	c.DoScoped(scopeOther, "tv|a", build(2))
+	c.DoScoped(scopeOther, "tv|b", build(3))
+	c.DoScoped(scopeOther, "tv|a", build(2))
 	// Unscoped traffic lands under "" and must not pollute either scope.
 	c.Do("misc", build(4))
 
 	if got := c.ScopeStats(ScopeTraining); got.Hits != 2 || got.Misses != 1 {
 		t.Fatalf("training scope = %+v, want 2 hits / 1 miss", got)
 	}
-	if got := c.ScopeStats(ScopeServing); got.Hits != 1 || got.Misses != 2 {
+	if got := c.ScopeStats(scopeOther); got.Hits != 1 || got.Misses != 2 {
 		t.Fatalf("serving scope = %+v, want 1 hit / 2 misses", got)
 	}
 	by := c.StatsByScope()
@@ -413,14 +416,14 @@ func TestScopedStatsSameKeyAcrossScopesSharesEntry(t *testing.T) {
 	calls := 0
 	b := func() (any, error) { calls++; return "v", nil }
 	c.DoScoped(ScopeTraining, "k", b)
-	c.DoScoped(ScopeServing, "k", b)
+	c.DoScoped(scopeOther, "k", b)
 	if calls != 1 {
 		t.Fatalf("build ran %d times, want 1 (scopes are labels, not partitions)", calls)
 	}
 	if got := c.ScopeStats(ScopeTraining); got.Misses != 1 {
 		t.Fatalf("first scope = %+v, want the miss", got)
 	}
-	if got := c.ScopeStats(ScopeServing); got.Hits != 1 {
+	if got := c.ScopeStats(scopeOther); got.Hits != 1 {
 		t.Fatalf("second scope = %+v, want the hit", got)
 	}
 }

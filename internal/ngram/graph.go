@@ -304,7 +304,15 @@ func Compare(doc, class *Graph) Similarity {
 // N-Gram-Graph classifiers (Figure 2 of the paper).
 func Features(doc, legitClass, illegitClass *Graph) []float64 {
 	a, b := CompareBoth(doc, legitClass, illegitClass)
-	return []float64{a.CS, a.SS, a.VS, a.NVS, b.CS, b.SS, b.VS, b.NVS}
+	return featureRow(nil, a, b)
+}
+
+// featureRow appends the Features layout of the two similarities to
+// out[:0].
+func featureRow(out []float64, legit, illegit Similarity) []float64 {
+	return append(out[:0],
+		legit.CS, legit.SS, legit.VS, legit.NVS,
+		illegit.CS, illegit.SS, illegit.VS, illegit.NVS)
 }
 
 // FeatureNames labels the Features slots, for diagnostics.
@@ -318,11 +326,15 @@ var FeatureNames = []string{
 // to the legitimate class and the complements of the similarities to
 // the illegitimate class.
 func TextRank(doc, legitClass, illegitClass *Graph) float64 {
-	a, b := CompareBoth(doc, legitClass, illegitClass)
-	return a.CS + (1 - b.CS) +
-		a.SS + (1 - b.SS) +
-		a.VS + (1 - b.VS) +
-		a.NVS + (1 - b.NVS)
+	return textRank(CompareBoth(doc, legitClass, illegitClass))
+}
+
+// textRank is Equation (3) over the two similarities.
+func textRank(legit, illegit Similarity) float64 {
+	return legit.CS + (1 - illegit.CS) +
+		legit.SS + (1 - illegit.SS) +
+		legit.VS + (1 - illegit.VS) +
+		legit.NVS + (1 - illegit.NVS)
 }
 
 // Edges returns the edges sorted by decreasing weight (ties by lexical

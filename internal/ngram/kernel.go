@@ -191,9 +191,7 @@ func DocFeatures(out []float64, text string, legit, illegit *Graph) []float64 {
 	g := b.Doc(text)
 	a, c := CompareBoth(g, legit, illegit)
 	builderPool.Put(b)
-	return append(out[:0],
-		a.CS, a.SS, a.VS, a.NVS,
-		c.CS, c.SS, c.VS, c.NVS)
+	return featureRow(out, a, c)
 }
 
 // DocTextRank computes the Equation-3 ranking score of one document
@@ -204,8 +202,5 @@ func DocTextRank(text string, legit, illegit *Graph) float64 {
 	g := b.Doc(text)
 	a, c := CompareBoth(g, legit, illegit)
 	builderPool.Put(b)
-	return a.CS + (1 - c.CS) +
-		a.SS + (1 - c.SS) +
-		a.VS + (1 - c.VS) +
-		a.NVS + (1 - c.NVS)
+	return textRank(a, c)
 }

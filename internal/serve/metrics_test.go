@@ -55,16 +55,19 @@ func TestMetricsExposition(t *testing.T) {
 		"pharmaverify_linkgraph_dirty 0",
 		"pharmaverify_linkgraph_nodes ",
 		"pharmaverify_linkgraph_refresh_duration_seconds_count 1",
-		// Shared feature cache: both accounting scopes always render,
-		// even before any training or serving traffic touched them.
-		`pharmaverify_featcache_hits_total{scope="serving"} `,
+		// Shared feature cache: the training scope always renders,
+		// even before any training traffic touched it.
 		`pharmaverify_featcache_hits_total{scope="training"} `,
-		`pharmaverify_featcache_misses_total{scope="serving"} `,
 		`pharmaverify_featcache_misses_total{scope="training"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+	// The request path never reads the feature cache, so no scope
+	// claims to count serving traffic.
+	if strings.Contains(body, `scope="serving"`) {
+		t.Error(`metrics exposition has a featcache scope="serving" row`)
 	}
 
 	// Structural sanity: every sample line belongs to a family that was

@@ -802,10 +802,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	writeMetric(w, "pharmaverify_cache_hit_ratio", "Verdict cache hit ratio since start.", "gauge", formatFloat(ratio))
 
-	// Shared feature cache, split by scope: "training" counts plane
-	// reuse across ensemble members and folds, "serving" counts
-	// per-request feature memoization. Scopes render in sorted order
-	// for a stable exposition.
+	// Shared feature cache of the in-process training pipeline, split
+	// by scope: "training" counts the reuse of feature artifacts across
+	// ensemble members, folds and classifiers. The request path never
+	// reads this cache. Scopes render in sorted order for a stable
+	// exposition.
 	fcStats := core.FeatureCacheScopeStats()
 	fcScopes := make([]string, 0, len(fcStats))
 	for scope := range fcStats {
