@@ -351,11 +351,11 @@ func TestInternalPath(t *testing.T) {
 
 func TestCrawlResolvesRelativeLinks(t *testing.T) {
 	f := mapFetcher{
-		"x.com|/":            `<a href="/docs/a">docs</a><p>root</p>`,
-		"x.com|/docs/a":      `<a href="b">sibling</a><a href="sub/c">deeper</a><p>a</p>`,
-		"x.com|/docs/b":      `<p>b</p>`,
-		"x.com|/docs/sub/c":  `<a href="../b">up</a><p>c</p>`,
-		"x.com|/b":           `<p>WRONG: root-resolved sibling</p>`,
+		"x.com|/":           `<a href="/docs/a">docs</a><p>root</p>`,
+		"x.com|/docs/a":     `<a href="b">sibling</a><a href="sub/c">deeper</a><p>a</p>`,
+		"x.com|/docs/b":     `<p>b</p>`,
+		"x.com|/docs/sub/c": `<a href="../b">up</a><p>c</p>`,
+		"x.com|/b":          `<p>WRONG: root-resolved sibling</p>`,
 	}
 	r := Crawl(f, "x.com", Config{})
 	var paths []string

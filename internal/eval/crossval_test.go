@@ -166,7 +166,7 @@ func TestCrossValidatePreparedFoldsEquivalent(t *testing.T) {
 	trainer := func() ml.Classifier { return &thresholdClassifier{} }
 	sampler := func(d *ml.Dataset, rng *rand.Rand) *ml.Dataset {
 		// Draw from the master stream so stream alignment is exercised.
-		idx := rng.Perm(d.Len())[: d.Len()/2+1]
+		idx := rng.Perm(d.Len())[:d.Len()/2+1]
 		sort.Ints(idx)
 		return d.Subset(idx)
 	}

@@ -11,6 +11,8 @@ package htmlx
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Page is the parsed form of one HTML document.
@@ -118,23 +120,75 @@ func Parse(src string) Page {
 
 // appendCollapsed writes s to b, collapsing any whitespace run into a
 // single space and avoiding duplicated separators across chunks.
+//
+// Fields are split exactly where strings.Fields splits them: on the
+// ASCII bytes of asciiSpace and on every rune unicode.IsSpace accepts,
+// so U+0085 and U+00A0 separate words too. Invalid UTF-8 decodes to
+// U+FFFD, which is not a space. The trailing separator, by contrast,
+// looks only at ' ', '\n', '\t' and '\r'.
 func appendCollapsed(b *strings.Builder, s string) {
-	for _, f := range strings.Fields(s) {
-		if b.Len() > 0 {
-			if str := b.String(); str[len(str)-1] != ' ' {
-				b.WriteByte(' ')
+	n := len(s)
+	i := 0
+	for {
+		// Skip a whitespace run.
+		for i < n {
+			if c := s[i]; c < utf8.RuneSelf {
+				if !asciiSpace[c] {
+					break
+				}
+				i++
+			} else if space, w := decodeSpace(s, i); space {
+				i += w
+			} else {
+				break
 			}
 		}
-		b.WriteString(f)
+		if i == n {
+			break
+		}
+		// Copy the field up to the next whitespace rune. A single ' '
+		// followed by ASCII text is already collapsed, so the span runs
+		// on through it and is written in one piece.
+		start := i
+		for i < n {
+			if c := s[i]; c < utf8.RuneSelf {
+				if asciiSpace[c] {
+					if c == ' ' && i+1 < n && s[i+1] < utf8.RuneSelf && !asciiSpace[s[i+1]] {
+						i += 2
+						continue
+					}
+					break
+				}
+				i++
+			} else if space, w := decodeSpace(s, i); space {
+				break
+			} else {
+				i += w
+			}
+		}
+		if l := b.Len(); l > 0 && b.String()[l-1] != ' ' {
+			b.WriteByte(' ')
+		}
+		b.WriteString(s[start:i])
 	}
-	if len(s) > 0 {
-		last := s[len(s)-1]
+	if n > 0 {
+		last := s[n-1]
 		if last == ' ' || last == '\n' || last == '\t' || last == '\r' {
 			if l := b.Len(); l > 0 && b.String()[l-1] != ' ' {
 				b.WriteByte(' ')
 			}
 		}
 	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// decodeSpace decodes the non-ASCII rune starting at s[i] and reports
+// whether it is white space, and its width in bytes.
+func decodeSpace(s string, i int) (bool, int) {
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), w
 }
 
 // splitTag separates a raw tag body ("a href=x", "/div") into the

@@ -53,6 +53,11 @@ func TestParseCollapsesWhitespace(t *testing.T) {
 	if p.Text != "a b c" {
 		t.Errorf("Text = %q, want %q", p.Text, "a b c")
 	}
+	// U+00A0 and U+0085 separate words too, as in strings.Fields.
+	p = Parse("<p>a\u00a0b\u0085c\u00a0</p>d")
+	if p.Text != "a b c d" {
+		t.Errorf("Text = %q, want %q", p.Text, "a b c d")
+	}
 }
 
 func TestParseEntitiesInText(t *testing.T) {
@@ -184,15 +189,51 @@ func TestDecodeEntitiesIdempotentOnPlain(t *testing.T) {
 	}
 }
 
-func BenchmarkParse(b *testing.B) {
-	var sb strings.Builder
-	for i := 0; i < 200; i++ {
-		sb.WriteString(`<div><p>generic cialis viagra no prescription required</p><a href="http://hub.example.com/aff">order now</a></div>`)
+// FuzzParse checks that Parse never panics and returns exactly what the
+// scanner returns over the strings.Fields collapse. Seeds are in
+// testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		got, want := Parse(src), parseReference(src)
+		if got.Title != want.Title || got.Text != want.Text || !reflect.DeepEqual(got.Links, want.Links) {
+			t.Fatalf("Parse(%q) = %#v, want %#v", src, got, want)
+		}
+	})
+}
+
+// benchPage is a storefront page of 200 identical blocks, with a title.
+var benchPage = "<html><head><title>Acme  Pharmacy\n</title></head><body>" +
+	strings.Repeat(`<div><p>generic cialis viagra  no prescription
+	required</p><a href="http://hub.example.com/aff">order now</a></div>`, 200) +
+	"</body></html>"
+
+// TestParseAllocations pins Parse's allocation budget on benchPage: the
+// text buffer, two growth steps of the title's builder ("Acme", then
+// "Acme Pharmacy") and the growth steps of the links slice. No
+// allocation scales with the number of text chunks.
+func TestParseAllocations(t *testing.T) {
+	links := len(Parse(benchPage).Links)
+	var grown []string
+	growths := 0
+	for i := 0; i < links; i++ {
+		if len(grown) == cap(grown) {
+			growths++
+		}
+		grown = append(grown, "")
 	}
-	src := sb.String()
+	allocs := testing.AllocsPerRun(20, func() { pageSink = Parse(benchPage) })
+	if limit := float64(3 + growths); allocs > limit {
+		t.Errorf("Parse allocates %.0f times on a page with %d links, want <= %.0f", allocs, links, limit)
+	}
+}
+
+var pageSink Page
+
+func BenchmarkParse(b *testing.B) {
+	b.SetBytes(int64(len(benchPage)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Parse(src)
+		pageSink = Parse(benchPage)
 	}
 }

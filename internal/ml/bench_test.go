@@ -14,7 +14,7 @@ func benchVector(n, stride, offset int) Vector {
 // BenchmarkLerp measures the SMOTE interpolation hot path. The linear
 // merge replaces a per-call map build followed by a sort of its keys.
 func BenchmarkLerp(b *testing.B) {
-	a := benchVector(300, 3, 0)  // overlaps c on multiples of 6
+	a := benchVector(300, 3, 0) // overlaps c on multiples of 6
 	c := benchVector(300, 2, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

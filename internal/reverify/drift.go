@@ -19,12 +19,10 @@ import (
 // (vocabulary restyling, link-farm churn) emerges over months of
 // corpus, not one pass.
 type driftMonitor struct {
-	mu         sync.Mutex
-	base       *core.Sketch
-	termCounts map[string]int
-	termTotal  int
-	linkCounts map[string]int
-	linkTotal  int
+	mu    sync.Mutex
+	base  *core.Sketch
+	terms keptCounts
+	links keptCounts
 	// observations counts domains folded in, the trigger's evidence bar.
 	observations int
 }
@@ -41,9 +39,11 @@ func (m *driftMonitor) reset(base *core.Sketch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.base = base
-	m.termCounts = make(map[string]int)
-	m.linkCounts = make(map[string]int)
-	m.termTotal, m.linkTotal, m.observations = 0, 0, 0
+	m.terms, m.links = keptCounts{}, keptCounts{}
+	if base != nil {
+		m.terms, m.links = newKeptCounts(base.Terms), newKeptCounts(base.Links)
+	}
+	m.observations = 0
 }
 
 // observe folds one re-verified domain's terms and outbound endpoints
@@ -51,14 +51,8 @@ func (m *driftMonitor) reset(base *core.Sketch) {
 func (m *driftMonitor) observe(terms, outbound []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, t := range terms {
-		m.termCounts[t]++
-	}
-	m.termTotal += len(terms)
-	for _, ep := range outbound {
-		m.linkCounts[ep]++
-	}
-	m.linkTotal += len(outbound)
+	m.terms.add(terms)
+	m.links.add(outbound)
 	m.observations++
 }
 
@@ -71,29 +65,55 @@ func (m *driftMonitor) scores() (term, link float64, observations int, ok bool) 
 	if m.base == nil {
 		return 0, 0, m.observations, false
 	}
-	return tvDistance(m.base.Terms, m.termCounts, m.termTotal),
-		tvDistance(m.base.Links, m.linkCounts, m.linkTotal),
-		m.observations, true
+	return m.terms.tvDistance(m.base.Terms), m.links.tvDistance(m.base.Links), m.observations, true
 }
 
-// tvDistance is the total-variation distance between the sketch's kept
-// distribution and the observed one, both extended with an "other"
-// bucket for the mass outside the kept keys. Iteration is over sorted
-// keys so the float sum — and therefore the exported gauge — is bitwise
-// deterministic.
-func tvDistance(base map[string]float64, counts map[string]int, total int) float64 {
-	if total == 0 || len(base) == 0 {
-		return 0
-	}
-	keys := make([]string, 0, len(base))
-	for k := range base {
+// keptCounts counts the observations of a sketch's kept keys, plus the
+// total of all observations. A key outside the sketch adds to the total
+// alone: the distance reads no other count, so the counters stay
+// bounded by the sketch size however long the drift window.
+type keptCounts struct {
+	keys  []string       // the kept keys, sorted
+	index map[string]int // kept key → its position in keys and n
+	n     []int
+	total int
+}
+
+func newKeptCounts(kept map[string]float64) keptCounts {
+	keys := make([]string, 0, len(kept))
+	for k := range kept {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	baseMass, obsMass, sum := 0.0, 0.0, 0.0
+	index := make(map[string]int, len(keys))
+	for i, k := range keys {
+		index[k] = i
+	}
+	return keptCounts{keys: keys, index: index, n: make([]int, len(keys))}
+}
+
+func (c *keptCounts) add(keys []string) {
 	for _, k := range keys {
+		if i, ok := c.index[k]; ok {
+			c.n[i]++
+		}
+	}
+	c.total += len(keys)
+}
+
+// tvDistance is the total-variation distance between the sketch's kept
+// distribution base and the observed one, both extended with an "other"
+// bucket for the mass outside the kept keys. Iteration is over sorted
+// keys so the float sum — and therefore the exported gauge — is bitwise
+// deterministic.
+func (c *keptCounts) tvDistance(base map[string]float64) float64 {
+	if c.total == 0 || len(base) == 0 {
+		return 0
+	}
+	baseMass, obsMass, sum := 0.0, 0.0, 0.0
+	for i, k := range c.keys {
 		pk := base[k]
-		qk := float64(counts[k]) / float64(total)
+		qk := float64(c.n[i]) / float64(c.total)
 		sum += math.Abs(pk - qk)
 		baseMass += pk
 		obsMass += qk

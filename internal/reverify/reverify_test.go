@@ -4,10 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io/fs"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"pharmaverify/internal/checkpoint"
 	"pharmaverify/internal/core"
+	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/serve"
 )
 
@@ -438,6 +442,108 @@ func TestDriftScores(t *testing.T) {
 	if term != term2 {
 		t.Fatal("drift score is not deterministic")
 	}
+}
+
+// TestDriftCountsOnlyKeptKeys folds one seeded sweep's observations
+// through the monitor, which counts only the sketch's kept keys, and
+// through counters of every observed key, and requires bit-identical
+// scores.
+func TestDriftCountsOnlyKeptKeys(t *testing.T) {
+	// Zipf-drawn vocabularies: training and sweep overlap but differ, so
+	// many observed terms and endpoints fall outside the small sketch.
+	draw := func(rng *rand.Rand, zipf *rand.Zipf, prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, zipf.Uint64())
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(19))
+	termZipf := rand.NewZipf(rng, 1.2, 1, 5000)
+	linkZipf := rand.NewZipf(rng, 1.4, 1, 400)
+	train := &dataset.Snapshot{}
+	for i := 0; i < 60; i++ {
+		train.Pharmacies = append(train.Pharmacies, dataset.Pharmacy{
+			Terms:    draw(rng, termZipf, "t", 300),
+			Outbound: draw(rng, linkZipf, "l", 8),
+		})
+	}
+	base := core.BuildSketch(train, 64, 16)
+
+	corpus := make([]string, 200)
+	obs := make(map[string]serve.Observation, len(corpus))
+	for i := range corpus {
+		corpus[i] = fmt.Sprintf("d%03d.test", i)
+		obs[corpus[i]] = serve.Observation{
+			Domain:   corpus[i],
+			Terms:    append(draw(rng, termZipf, "t", 250), draw(rng, termZipf, "new", 50)...),
+			Outbound: draw(rng, linkZipf, "l", 6),
+		}
+	}
+	dep := newFakeDeployment(corpus...)
+	dep.sketch = base
+	dep.observe = func(domain string) (serve.Observation, error) { return obs[domain], nil }
+	p := New(dep, Config{MaxSweeps: 1, Logf: t.Logf})
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	term, link, n, ok := p.drift.scores()
+	if !ok || n != len(corpus) {
+		t.Fatalf("scores: %d observations, ok=%v; want %d, true", n, ok, len(corpus))
+	}
+
+	termCounts, linkCounts := map[string]int{}, map[string]int{}
+	termTotal, linkTotal := 0, 0
+	for _, o := range obs {
+		for _, k := range o.Terms {
+			termCounts[k]++
+		}
+		for _, k := range o.Outbound {
+			linkCounts[k]++
+		}
+		termTotal += len(o.Terms)
+		linkTotal += len(o.Outbound)
+	}
+	wantTerm := tvDistanceReference(base.Terms, termCounts, termTotal)
+	wantLink := tvDistanceReference(base.Links, linkCounts, linkTotal)
+	if math.Float64bits(term) != math.Float64bits(wantTerm) || math.Float64bits(link) != math.Float64bits(wantLink) {
+		t.Fatalf("kept-key scores term=%v link=%v, all-key scores term=%v link=%v", term, link, wantTerm, wantLink)
+	}
+	if term <= 0 || term >= 1 || link <= 0 || link >= 1 {
+		t.Fatalf("degenerate scores term=%v link=%v: the sweep does not exercise partial overlap", term, link)
+	}
+}
+
+// tvDistanceReference is the drift distance over counters of every
+// observed key, as the monitor kept them before it counted only the
+// sketch's kept keys.
+func tvDistanceReference(base map[string]float64, counts map[string]int, total int) float64 {
+	if total == 0 || len(base) == 0 {
+		return 0
+	}
+	keys := make([]string, 0, len(base))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	baseMass, obsMass, sum := 0.0, 0.0, 0.0
+	for _, k := range keys {
+		pk := base[k]
+		qk := float64(counts[k]) / float64(total)
+		sum += math.Abs(pk - qk)
+		baseMass += pk
+		obsMass += qk
+	}
+	pOther := 1 - baseMass
+	if pOther < 0 {
+		pOther = 0
+	}
+	qOther := 1 - obsMass
+	if qOther < 0 {
+		qOther = 0
+	}
+	sum += math.Abs(pOther - qOther)
+	return sum / 2
 }
 
 func TestWriteMetricsRendersDriftAndSweeps(t *testing.T) {

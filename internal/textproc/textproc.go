@@ -9,38 +9,14 @@ import (
 	"math/rand"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lower-cases the text and splits it into terms on any
 // non-letter/non-digit rune, mirroring Lucene's StandardTokenizer for
 // plain English content. Single-character terms are dropped.
 func Tokenize(text string) []string {
-	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 1 {
-			tokens = append(tokens, b.String())
-		}
-		b.Reset()
-	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		case r == '\'': // keep possessives/contractions joined ("don't")
-			if b.Len() > 0 {
-				b.WriteRune(r)
-			}
-		default:
-			flush()
-		}
-	}
-	flush()
-	// Trim trailing apostrophes left by the contraction rule.
-	for i, t := range tokens {
-		tokens[i] = strings.TrimRight(t, "'")
-	}
-	return tokens
+	return terms(text, nil, 0)
 }
 
 // Preprocessor applies tokenization and stop-word removal. The zero
@@ -48,7 +24,16 @@ func Tokenize(text string) []string {
 // matching the paper (technical terms and trademarks survive intact).
 type Preprocessor struct {
 	stop map[string]bool
+	// maxStop is the byte length of the longest stop word; longer
+	// terms skip the set lookup.
+	maxStop int
 }
+
+// defaultStop backs the zero Preprocessor. It is never written.
+var (
+	defaultStop    = StopWords()
+	defaultMaxStop = maxLen(defaultStop)
+)
 
 // NewPreprocessor builds a Preprocessor with the default stop words plus
 // any extra words supplied.
@@ -57,21 +42,83 @@ func NewPreprocessor(extraStopWords ...string) *Preprocessor {
 	for _, w := range extraStopWords {
 		stop[strings.ToLower(w)] = true
 	}
-	return &Preprocessor{stop: stop}
+	return &Preprocessor{stop: stop, maxStop: maxLen(stop)}
 }
 
 // Terms tokenizes text and removes stop words.
 func (p *Preprocessor) Terms(text string) []string {
-	stop := p.stop
-	if stop == nil {
-		stop = StopWords()
+	if p.stop == nil {
+		return terms(text, defaultStop, defaultMaxStop)
 	}
-	toks := Tokenize(text)
-	out := toks[:0]
-	for _, t := range toks {
-		if !stop[t] {
-			out = append(out, t)
+	return terms(text, p.stop, p.maxStop)
+}
+
+func maxLen(set map[string]bool) int {
+	n := 0
+	for w := range set {
+		n = max(n, len(w))
+	}
+	return n
+}
+
+// terms is the one tokenizer: a single pass over text that lower-cases
+// each term into a reusable buffer and drops it when its lower-cased
+// byte length is at most 1 or, after trailing apostrophes are trimmed,
+// it is in stop. Only non-ASCII runes are decoded and classified. Each
+// kept term is its own string: terms outlive the document (model
+// vocabularies, sketches, drift counters), and slices of one shared
+// buffer would pin the whole document.
+func terms(text string, stop map[string]bool, maxStop int) []string {
+	var (
+		out     []string
+		scratch [64]byte
+		found   bool // a term was found, stop word or not
+	)
+	buf := scratch[:0]
+	flush := func() {
+		if len(buf) > 1 {
+			found = true
+			t := buf
+			for t[len(t)-1] == '\'' {
+				t = t[:len(t)-1]
+			}
+			if len(t) > maxStop || !stop[string(t)] {
+				out = append(out, string(t))
+			}
 		}
+		buf = buf[:0]
+	}
+	for i := 0; i < len(text); {
+		c := text[i]
+		if c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+				buf = append(buf, c)
+			case 'A' <= c && c <= 'Z':
+				buf = append(buf, c+('a'-'A'))
+			case c == '\'': // keep possessives/contractions joined ("don't")
+				if len(buf) > 0 {
+					buf = append(buf, c)
+				}
+			default:
+				flush()
+			}
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(text[i:])
+		i += w
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		} else {
+			flush()
+		}
+	}
+	flush()
+	if out == nil && found {
+		// All terms were stop words: an empty, non-nil slice, which a
+		// snapshot encodes as [] rather than null.
+		return []string{}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +191,63 @@ func TestStopWordsCopy(t *testing.T) {
 	sort.Strings(words)
 	if len(words) != 33 {
 		t.Errorf("stop list has %d words, want 33 (Lucene list)", len(words))
+	}
+}
+
+// FuzzTerms checks the one-pass tokenizer against the builder-based
+// reference: Tokenize, the zero Preprocessor and a Preprocessor with one
+// extra stop word must return exactly what the reference returns, nil
+// and empty slices included. Seeds are in testdata/fuzz/FuzzTerms.
+func FuzzTerms(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text, extra string) {
+		if got, want := Tokenize(text), tokenizeReference(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", text, got, want)
+		}
+		var zero Preprocessor
+		if got, want := zero.Terms(text), termsReference(text, StopWords()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("zero Preprocessor Terms(%q) = %q, want %q", text, got, want)
+		}
+		stop := StopWords()
+		stop[strings.ToLower(extra)] = true
+		if got, want := NewPreprocessor(extra).Terms(text), termsReference(text, stop); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Terms(%q) with stop word %q = %q, want %q", text, extra, got, want)
+		}
+	})
+}
+
+// benchText is storefront-like summary text: mostly ASCII, some
+// stop words, contractions, numbers and a few non-ASCII words.
+var benchText = strings.Repeat("Buy generic Cialis & Viagra ONLINE - no prescription required! "+
+	"It's the patients' choice: 100mg tablets, 24/7 support. Café naïve Größe. ", 40)
+
+// TestTermsAllocations pins the kernel's allocation budget: one string
+// per kept term plus the growth steps of the result slice; the term
+// buffer lives on the stack.
+func TestTermsAllocations(t *testing.T) {
+	p := NewPreprocessor()
+	kept := len(p.Terms(benchText))
+	var grown []string
+	growths := 0
+	for i := 0; i < kept; i++ {
+		if len(grown) == cap(grown) {
+			growths++
+		}
+		grown = append(grown, "")
+	}
+	allocs := testing.AllocsPerRun(20, func() { termsSink = p.Terms(benchText) })
+	if limit := float64(kept + growths); allocs > limit {
+		t.Errorf("Terms allocates %.0f times for %d kept terms, want <= %.0f", allocs, kept, limit)
+	}
+}
+
+var termsSink []string
+
+func BenchmarkTerms(b *testing.B) {
+	p := NewPreprocessor()
+	b.SetBytes(int64(len(benchText)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		termsSink = p.Terms(benchText)
 	}
 }

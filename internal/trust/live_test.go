@@ -119,8 +119,8 @@ func TestLiveGraphConcurrentFolds(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				d := fmt.Sprintf("d%d.com", (w*31+i)%40)
 				g.Fold(d, []string{
-					fmt.Sprintf("d%d.com", (i + 1) % 40),
-					fmt.Sprintf("d%d.com", (i * 7) % 40),
+					fmt.Sprintf("d%d.com", (i+1)%40),
+					fmt.Sprintf("d%d.com", (i*7)%40),
 				})
 				g.Contains(d)
 				if i%17 == 0 {
