@@ -193,22 +193,32 @@ func decodeSpace(s string, i int) (bool, int) {
 
 // splitTag separates a raw tag body ("a href=x", "/div") into the
 // lower-case element name, its attribute substring, and whether it is a
-// closing tag.
+// closing tag. After trimming (white space as strings.TrimSpace
+// defines it), one byte scan finds the end of the name and notes
+// whether it needs lower-casing, which only an upper-case or
+// non-ASCII byte can require.
 func splitTag(tag string) (name, attrs string, closing bool) {
 	tag = strings.TrimSpace(tag)
-	if strings.HasPrefix(tag, "/") {
+	if len(tag) > 0 && tag[0] == '/' {
 		closing = true
 		tag = strings.TrimSpace(tag[1:])
 	}
-	sp := strings.IndexAny(tag, " \t\r\n")
-	if sp < 0 {
-		name = tag
-	} else {
-		name = tag[:sp]
-		attrs = tag[sp+1:]
+	name = tag
+	lower := true
+	for i := 0; i < len(tag); i++ {
+		c := tag[i]
+		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
+			name, attrs = tag[:i], tag[i+1:]
+			break
+		}
+		if 'A' <= c && c <= 'Z' || c >= utf8.RuneSelf {
+			lower = false
+		}
 	}
-	name = strings.TrimSuffix(strings.ToLower(name), "/")
-	return name, attrs, closing
+	if !lower {
+		name = strings.ToLower(name)
+	}
+	return strings.TrimSuffix(name, "/"), attrs, closing
 }
 
 // attrValue extracts the value of the named attribute from a tag's

@@ -190,13 +190,19 @@ func TestDecodeEntitiesIdempotentOnPlain(t *testing.T) {
 }
 
 // FuzzParse checks that Parse never panics and returns exactly what the
-// scanner returns over the strings.Fields collapse. Seeds are in
-// testdata/fuzz/FuzzParse.
+// scanner returns over the strings.Fields collapse and the strings-pass
+// tag split, and that splitTag matches its reference on the raw input.
+// Seeds are in testdata/fuzz/FuzzParse.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		got, want := Parse(src), parseReference(src)
 		if got.Title != want.Title || got.Text != want.Text || !reflect.DeepEqual(got.Links, want.Links) {
 			t.Fatalf("Parse(%q) = %#v, want %#v", src, got, want)
+		}
+		name, attrs, closing := splitTag(src)
+		wantName, wantAttrs, wantClosing := splitTagReference(src)
+		if name != wantName || attrs != wantAttrs || closing != wantClosing {
+			t.Fatalf("splitTag(%q) = %q, %q, %v, want %q, %q, %v", src, name, attrs, closing, wantName, wantAttrs, wantClosing)
 		}
 	})
 }

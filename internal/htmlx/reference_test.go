@@ -23,8 +23,9 @@ func appendCollapsedReference(b *strings.Builder, s string) {
 	}
 }
 
-// parseReference is Parse as it was over the reference collapse: the
-// same scanner, entity decoding and tag handling.
+// parseReference is Parse as it was over the reference collapse and
+// the reference tag split: the same scanner, entity decoding and tag
+// handling.
 func parseReference(src string) Page {
 	var (
 		text  strings.Builder
@@ -84,7 +85,7 @@ func parseReference(src string) Page {
 		tag := src[i+1 : i+tagEnd]
 		i += tagEnd + 1
 
-		name, attrs, closing := splitTag(tag)
+		name, attrs, closing := splitTagReference(tag)
 		if skipUntil != "" {
 			if closing && name == skipUntil {
 				skipUntil = ""
@@ -114,4 +115,23 @@ func parseReference(src string) Page {
 		Text:  strings.TrimSpace(text.String()),
 		Links: links,
 	}
+}
+
+// splitTagReference is splitTag as three strings passes: trim, find
+// the first separator, lower-case the name.
+func splitTagReference(tag string) (name, attrs string, closing bool) {
+	tag = strings.TrimSpace(tag)
+	if strings.HasPrefix(tag, "/") {
+		closing = true
+		tag = strings.TrimSpace(tag[1:])
+	}
+	sp := strings.IndexAny(tag, " \t\r\n")
+	if sp < 0 {
+		name = tag
+	} else {
+		name = tag[:sp]
+		attrs = tag[sp+1:]
+	}
+	name = strings.TrimSuffix(strings.ToLower(name), "/")
+	return name, attrs, closing
 }

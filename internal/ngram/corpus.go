@@ -1,6 +1,10 @@
 package ngram
 
-import "pharmaverify/internal/parallel"
+import (
+	"math/bits"
+
+	"pharmaverify/internal/parallel"
+)
 
 // This file is the interned twin of the map-based class-graph
 // pipeline, for callers that merge and compare the same set of
@@ -47,44 +51,155 @@ type corpusDoc struct {
 	w   []float64 // true weights (co-occurrence counts), aligned with ids
 }
 
+// The edge numbering is sharded and chunked, so it runs on every core
+// and never holds more than one chunk's edge keys:
+//
+//   - Each distinct edge belongs to one of corpusShards shards, chosen
+//     by the top bits of edgeHash. Each shard numbers its own edges
+//     0, 1, 2, … in order of first appearance (document order, then
+//     each document's insertion order) through an open-addressed
+//     edgeTable, and the shards of a chunk run concurrently.
+//   - Documents are built corpusChunk at a time: a chunk's documents
+//     are built in parallel into copied key lists, numbered across the
+//     shards, and their key buffers reused for the next chunk.
+//   - A final pass rewrites each shard-local id as the shard's offset
+//     (the edge counts of the shards before it) plus its local id.
+//
+// The shard count and the numbering order within a shard are fixed,
+// so the ids — and the whole Corpus — are the same at every worker
+// count, grain and chunk size.
+const (
+	shardBits    = 3
+	corpusShards = 1 << shardBits
+	corpusChunk  = 32 // documents built and numbered per step
+	// shardEdgeLimit bounds a shard's local ids so that a local id
+	// tagged with its shard (local<<shardBits | shard) fits an int32.
+	shardEdgeLimit = 1 << (31 - shardBits)
+)
+
+// edgeHash mixes an edge's two gram ids into 64 bits: its top
+// shardBits bits pick the edge's shard, the bits below them its slot
+// in the shard's table.
+func edgeHash(e packedEdge) uint64 {
+	return (uint64(e.src) ^ bits.RotateLeft64(uint64(e.dst), 32)) * 0x9e3779b97f4a7c15
+}
+
+// edgeTable is one shard's numbering: a linear-probing hash table from
+// edge to local id with power-of-two capacity, doubled when an insert
+// would take it past a load of 3/4.
+type edgeTable struct {
+	keys  []packedEdge
+	ids   []int32 // local id + 1; 0 marks an empty slot
+	n     int32   // edges numbered so far
+	shift uint    // 64 - log2(len(keys))
+}
+
+func newEdgeTable() edgeTable {
+	const slots = 1 << 10
+	return edgeTable{keys: make([]packedEdge, slots), ids: make([]int32, slots), shift: 64 - 10}
+}
+
+// number returns e's local id, numbering e next if it is new. h is
+// edgeHash(e) shifted left by shardBits.
+func (t *edgeTable) number(e packedEdge, h uint64) int32 {
+	mask := len(t.keys) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		id := t.ids[i]
+		if id == 0 {
+			if t.n == shardEdgeLimit {
+				panic("ngram: a corpus shard holds more distinct edges than its id bits can number")
+			}
+			if 4*(int(t.n)+1) > 3*len(t.keys) {
+				t.grow()
+				return t.number(e, h)
+			}
+			t.keys[i] = e
+			t.n++
+			t.ids[i] = t.n
+			return t.n - 1
+		}
+		if t.keys[i] == e {
+			return id - 1
+		}
+	}
+}
+
+// grow doubles the table and reinserts its edges.
+func (t *edgeTable) grow() {
+	keys, ids := t.keys, t.ids
+	t.keys = make([]packedEdge, 2*len(keys))
+	t.ids = make([]int32, 2*len(ids))
+	t.shift--
+	mask := len(t.keys) - 1
+	for j, id := range ids {
+		if id == 0 {
+			continue
+		}
+		i := int(edgeHash(keys[j]) << shardBits >> t.shift)
+		for t.ids[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.ids[i] = keys[j], id
+	}
+}
+
 // NewCorpus builds the graphs of texts with the paper's default
 // parameters, as FromDocument does, and numbers their distinct edges
-// densely. workers and grain bound the parallel document builds (see
-// parallel.ForGrain); the numbering pass is sequential, in document
-// order, so a corpus is the same at every worker count.
+// densely. workers and grain bound the parallel document builds and
+// the final id rewrite (see parallel.ForGrain); workers also bounds
+// the shards numbered at once. The corpus is the same at every worker
+// count and grain.
 func NewCorpus(texts []string, workers, grain int) *Corpus {
 	docs := make([]corpusDoc, len(texts))
-	keys := make([][]packedEdge, len(texts))
-	parallel.ForGrain(len(texts), workers, grain, func(lo, hi int) {
-		b := builderPool.Get().(*Builder)
-		for i := lo; i < hi; i++ {
-			g := b.Doc(texts[i])
-			keys[i] = append([]packedEdge(nil), g.order...)
-			w := make([]float64, len(g.order))
-			for k, e := range g.order {
-				w[k] = g.w[e] * g.scale
-			}
-			docs[i].w = w
-		}
-		builderPool.Put(b)
-	})
-	// int32 ids cover 2^31 distinct edges, far more than any corpus
-	// whose numbering map fits in memory.
-	number := make(map[packedEdge]int32)
-	for i, ks := range keys {
-		ids := make([]int32, len(ks))
-		for k, e := range ks {
-			id, ok := number[e]
-			if !ok {
-				id = int32(len(number))
-				number[e] = id
-			}
-			ids[k] = id
-		}
-		docs[i].ids = ids
-		keys[i] = nil
+	var tables [corpusShards]edgeTable
+	for s := range tables {
+		tables[s] = newEdgeTable()
 	}
-	return &Corpus{docs: docs, edges: len(number)}
+	keys := make([][]packedEdge, min(corpusChunk, len(texts)))
+	for lo := 0; lo < len(texts); lo += corpusChunk {
+		chunk := keys[:min(corpusChunk, len(texts)-lo)]
+		parallel.ForGrain(len(chunk), workers, grain, func(a, b int) {
+			bld := builderPool.Get().(*Builder)
+			for i := a; i < b; i++ {
+				g := bld.Doc(texts[lo+i])
+				chunk[i] = append(chunk[i][:0], g.order...)
+				w := make([]float64, len(g.order))
+				for k, e := range g.order {
+					w[k] = g.w[e] * g.scale
+				}
+				docs[lo+i] = corpusDoc{ids: make([]int32, len(g.order)), w: w}
+			}
+			builderPool.Put(bld)
+		})
+		// Each shard writes only the ids of its own edges; until the
+		// rewrite below, an id is its local id tagged with its shard.
+		parallel.For(corpusShards, workers, func(s int) {
+			t := &tables[s]
+			for i, ks := range chunk {
+				ids := docs[lo+i].ids
+				for k, e := range ks {
+					if h := edgeHash(e); int(h>>(64-shardBits)) == s {
+						ids[k] = t.number(e, h<<shardBits)<<shardBits | int32(s)
+					}
+				}
+			}
+		})
+	}
+	var offset [corpusShards]int32
+	edges := 0
+	for s := range tables {
+		offset[s] = int32(edges)
+		edges += int(tables[s].n)
+	}
+	parallel.ForGrain(len(docs), workers, grain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ids := docs[i].ids
+			for k, id := range ids {
+				ids[k] = offset[id&(corpusShards-1)] + id>>shardBits
+			}
+		}
+	})
+	return &Corpus{docs: docs, edges: edges}
 }
 
 // ClassGraph is a class graph over a Corpus's edge numbering, the

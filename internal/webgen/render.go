@@ -177,8 +177,8 @@ func (w *World) assignExternalsReference() {
 		order := make([]*Site, len(sites))
 		copy(order, sites)
 		sort.Slice(order, func(i, j int) bool {
-			return roleDraw(w.cfg.Seed, order[i].Domain, "ep|"+ep.Domain) <
-				roleDraw(w.cfg.Seed, order[j].Domain, "ep|"+ep.Domain)
+			return roleDrawReference(w.cfg.Seed, order[i].Domain, "ep|"+ep.Domain) <
+				roleDrawReference(w.cfg.Seed, order[j].Domain, "ep|"+ep.Domain)
 		})
 		if k > len(order) {
 			k = len(order)

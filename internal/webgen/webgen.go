@@ -341,8 +341,8 @@ func (w *World) assignExternals() {
 	}
 	// Kernelized selection: the per-(site,endpoint) hash draw is a pure
 	// function, so it is computed once per site into a key table instead
-	// of twice per sort comparison (where each roleDraw call paid a
-	// hasher, a formatted write and a freshly seeded RNG). The draws are
+	// of twice per sort comparison, where the reference pays a hasher, a
+	// formatted write and a freshly seeded RNG per draw. The draws are
 	// distinct in practice, so sorting by the table yields the exact
 	// order the comparator-driven reference sort produces; the reference
 	// lives in assignExternalsReference and the package tests pin full
@@ -458,12 +458,4 @@ func siteRNG(seed int64, snapshot int, domain, salt string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%s", seed, snapshot, domain, salt)
 	return rand.New(rand.NewSource(int64(h.Sum64())))
-}
-
-// roleDraw is a snapshot-independent uniform draw in [0,1) for stable
-// role assignment (roles must not flip between snapshots).
-func roleDraw(seed int64, domain, role string) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|role|%s|%s", seed, domain, role)
-	return rand.New(rand.NewSource(int64(h.Sum64()))).Float64()
 }
