@@ -337,6 +337,13 @@ func CrawlCtx(ctx context.Context, f Fetcher, domain string, cfg Config) Result 
 			mu.Unlock()
 
 			html, err := fetchRetry(path, false)
+			// Parsing touches no crawl state, so it runs before taking
+			// mu and a domain's workers parse concurrently. Everything
+			// that orders the crawl stays under mu below.
+			var pg htmlx.Page
+			if err == nil {
+				pg = htmlx.Parse(html)
+			}
 
 			mu.Lock()
 			inFlight--
@@ -361,7 +368,6 @@ func CrawlCtx(ctx context.Context, f Fetcher, domain string, cfg Config) Result 
 				continue
 			}
 			consecutive = 0
-			pg := htmlx.Parse(html)
 			pages = append(pages, Page{Path: path, Title: pg.Title, Text: pg.Text, Links: pg.Links})
 			for _, link := range pg.Links {
 				if ip, ok := internalPath(link, path, domain); ok {

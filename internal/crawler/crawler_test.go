@@ -399,13 +399,39 @@ func TestCrawlAll(t *testing.T) {
 	}
 }
 
+// Every domain of a small world crawls to the same pages, external
+// links and telemetry at every worker count, on a clean web and on a
+// seeded flaky one. Pages are parsed outside the crawl mutex, so the
+// -race run of this test also exercises concurrent parsing.
 func TestCrawlDeterministicAcrossWorkerCounts(t *testing.T) {
-	w := webgen.Generate(webgen.Config{Seed: 3, NumLegit: 2, NumIllegit: 4, NetworkSize: 2})
-	d := w.Domains()[0]
-	a := Crawl(w, d, Config{Workers: 1})
-	b := Crawl(w, d, Config{Workers: 8})
-	if !reflect.DeepEqual(a.Pages, b.Pages) || !reflect.DeepEqual(a.External, b.External) {
-		t.Error("crawl output depends on worker count")
+	w := webgen.Generate(webgen.Config{Seed: 3, NumLegit: 3, NumIllegit: 6, NetworkSize: 3})
+	flaky := FaultConfig{Seed: 9, TransientRate: 0.3, PermanentRate: 0.05, MaxTransientPerPage: 2}
+	for _, faults := range []*FaultConfig{nil, &flaky} {
+		var pages, failures int
+		for _, d := range w.Domains() {
+			crawl := func(workers int) Result {
+				cfg := Config{Workers: workers, Retry: RetryConfig{MaxAttempts: 3}}
+				if faults == nil {
+					return Crawl(w, d, cfg)
+				}
+				return Crawl(NewFaultInjector(w, *faults), d, cfg)
+			}
+			want := crawl(1)
+			pages += len(want.Pages)
+			failures += want.Stats.Failures
+			for _, workers := range []int{2, 4, 8} {
+				got := crawl(workers)
+				if !reflect.DeepEqual(got.Pages, want.Pages) || !reflect.DeepEqual(got.External, want.External) {
+					t.Errorf("%s (faults %v): workers=%d pages or external links differ from workers=1", d, faults != nil, workers)
+				}
+				if got.Stats != want.Stats || got.Fetched != want.Fetched || got.Failed != want.Failed {
+					t.Errorf("%s (faults %v): workers=%d stats %+v, workers=1 %+v", d, faults != nil, workers, got.Stats, want.Stats)
+				}
+			}
+		}
+		if pages == 0 || (faults != nil) != (failures > 0) {
+			t.Errorf("faults %v: %d pages, %d failed attempts", faults != nil, pages, failures)
+		}
 	}
 }
 
@@ -438,6 +464,78 @@ func TestHTTPFetcher(t *testing.T) {
 	r := Crawl(h, domain, Config{MaxPages: 5})
 	if len(r.Pages) != 2 {
 		t.Errorf("HTTP crawl pages = %d, want 2", len(r.Pages))
+	}
+}
+
+// The default client follows a redirect within the requested host and
+// refuses, as a Permanent error, one to another host: the foreign page
+// must not be credited to the crawled domain. A caller-supplied Client
+// keeps its own policy.
+func TestHTTPFetcherRedirects(t *testing.T) {
+	foreign := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<p>foreign shop</p>`)
+	}))
+	defer foreign.Close()
+	site := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/":
+			fmt.Fprint(w, `<a href="/moved">m</a><a href="/away">a</a>`)
+		case "/moved":
+			http.Redirect(w, r, "/home", http.StatusMovedPermanently)
+		case "/home":
+			fmt.Fprint(w, `<p>home page</p>`)
+		case "/away":
+			http.Redirect(w, r, foreign.URL+"/", http.StatusFound)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer site.Close()
+	domain := strings.TrimPrefix(site.URL, "http://")
+
+	h := &HTTPFetcher{}
+	if html, err := h.Fetch(domain, "/moved"); err != nil || !strings.Contains(html, "home page") {
+		t.Errorf("same-host redirect: body %q, err %v", html, err)
+	}
+	if html, err := h.Fetch(domain, "/away"); err == nil || !IsPermanent(err) {
+		t.Errorf("cross-host redirect: body %q, err %v, want a Permanent error", html, err)
+	}
+	r := Crawl(h, domain, Config{Retry: RetryConfig{MaxAttempts: 3}})
+	if len(r.Pages) != 2 || r.Stats.PagesFailed != 1 || r.Stats.Retries != 0 {
+		t.Errorf("crawl: %d pages, stats %+v; want 2 pages and the cross-host page lost without retries", len(r.Pages), r.Stats)
+	}
+	for _, p := range r.Pages {
+		if strings.Contains(p.Text, "foreign") {
+			t.Errorf("page %s carries the foreign host's text %q", p.Path, p.Text)
+		}
+	}
+
+	own := &HTTPFetcher{Client: &http.Client{}}
+	if html, err := own.Fetch(domain, "/away"); err != nil || !strings.Contains(html, "foreign shop") {
+		t.Errorf("caller-supplied client: body %q, err %v, want the redirect followed", html, err)
+	}
+}
+
+// A redirect between a host and its www alias stays on the site, as
+// internal links do; any other host is refused.
+func TestSameHostRedirect(t *testing.T) {
+	req := func(u string) *http.Request { return httptest.NewRequest(http.MethodGet, u, nil) }
+	cases := []struct {
+		from, to string
+		ok       bool
+	}{
+		{"http://x.com/", "https://x.com/a", true},
+		{"http://x.com/", "http://www.x.com/", true},
+		{"http://WWW.X.com/", "http://x.com/", true},
+		{"http://x.com/", "http://y.com/", false},
+		{"http://x.com/", "http://x.com.evil.net/", false},
+		{"http://x.com:8080/", "http://x.com:9090/", false},
+	}
+	for _, c := range cases {
+		err := sameHostRedirect(req(c.to), []*http.Request{req(c.from)})
+		if (err == nil) != c.ok || (err != nil && !IsPermanent(err)) {
+			t.Errorf("%s -> %s: err %v, want allowed=%v", c.from, c.to, err, c.ok)
+		}
 	}
 }
 

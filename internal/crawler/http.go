@@ -2,9 +2,11 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 )
@@ -14,7 +16,9 @@ import (
 // synthetic webgen.World instead; this type exists so the crawler is a
 // drop-in crawler4j replacement outside the simulation.
 type HTTPFetcher struct {
-	// Client is the HTTP client to use (default: 10 s timeout).
+	// Client is the HTTP client to use (default: 10 s timeout, and
+	// redirects followed only within the requested host or its www
+	// alias). A supplied Client keeps its own redirect policy.
 	Client *http.Client
 	// Scheme is "http" or "https" (default "http", matching the
 	// paper-era crawls).
@@ -36,7 +40,7 @@ func (h *HTTPFetcher) Fetch(domain, path string) (string, error) {
 func (h *HTTPFetcher) FetchCtx(ctx context.Context, domain, path string) (string, error) {
 	client := h.Client
 	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+		client = &http.Client{Timeout: 10 * time.Second, CheckRedirect: sameHostRedirect}
 	}
 	scheme := h.Scheme
 	if scheme == "" {
@@ -60,7 +64,8 @@ func (h *HTTPFetcher) FetchCtx(ctx context.Context, domain, path string) (string
 	if err != nil {
 		// Network-level failures (DNS, refused, timeouts) are left
 		// unmarked, i.e. transient: the crawler retries them under its
-		// Retry budget.
+		// Retry budget. A refused cross-host redirect stays Permanent
+		// through the wrapping.
 		return "", fmt.Errorf("crawler: fetch %s%s: %w", domain, path, err)
 	}
 	defer resp.Body.Close()
@@ -82,3 +87,20 @@ func (h *HTTPFetcher) FetchCtx(ctx context.Context, domain, path string) (string
 }
 
 var _ CtxFetcher = (*HTTPFetcher)(nil)
+
+// sameHostRedirect is the default client's redirect policy. A redirect
+// stays on the site when its host, "www." aside, equals the requested
+// host; anything else is refused with a Permanent error, so a page
+// served from a foreign host is never credited to the crawled domain
+// (the redirect-chain evasion of illicit pharmacy networks). Like
+// net/http's default policy it stops after 10 redirects.
+func sameHostRedirect(req *http.Request, via []*http.Request) error {
+	if len(via) >= 10 {
+		return errors.New("crawler: stopped after 10 redirects")
+	}
+	site := func(u *url.URL) string { return strings.TrimPrefix(strings.ToLower(u.Host), "www.") }
+	if from := via[0].URL; site(req.URL) != site(from) {
+		return Permanent(fmt.Errorf("crawler: refused cross-host redirect from %s to %s", from.Host, req.URL.Host))
+	}
+	return nil
+}

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -167,4 +168,31 @@ func TestCrawlPolitenessDelay(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
 		t.Errorf("two delayed fetches took only %v", elapsed)
 	}
+}
+
+// FuzzParseRobots feeds arbitrary robots.txt bodies, which the judged
+// site writes, through ParseRobots and Allowed. Nothing may panic, and
+// the same body with CRLF line endings must answer every query as with
+// LF. The queries are the fuzzed agent and path plus every rule prefix
+// of the parsed policy, so the matching rules are exercised.
+func FuzzParseRobots(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body, agent, path string) {
+		lf := ParseRobots(body)
+		crlf := ParseRobots(strings.ReplaceAll(body, "\n", "\r\n"))
+		paths := []string{path, "/"}
+		agents := []string{agent, "pharmaverify", "*"}
+		for _, g := range lf.groups {
+			agents = append(agents, g.agents...)
+			for _, r := range g.rules {
+				paths = append(paths, r.prefix, r.prefix+"x")
+			}
+		}
+		for _, a := range agents {
+			for _, p := range paths {
+				if got, want := crlf.Allowed(a, p), lf.Allowed(a, p); got != want {
+					t.Fatalf("Allowed(%q, %q) = %v with CRLF, %v with LF, body %q", a, p, got, want, body)
+				}
+			}
+		}
+	})
 }

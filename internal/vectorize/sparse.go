@@ -2,16 +2,17 @@ package vectorize
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"pharmaverify/internal/ml"
 )
 
 // Vectorizer converts documents to sparse vectors against a frozen
-// vocabulary using reusable scratch buffers: per-document work and
-// allocation are O(distinct document terms) — two short slices for the
-// resulting vector — instead of a fresh map plus per-term IDF
-// recomputation. The IDF vector is precomputed once at construction
+// vocabulary using reusable scratch buffers: per-document work is
+// linear in the document's terms plus one bitmap word per 64
+// vocabulary indices between its lowest and highest term, and
+// allocation is two short slices for the resulting vector, instead of
+// a fresh map plus per-term IDF recomputation. The IDF vector is precomputed once at construction
 // (via Vocabulary.IDFVector).
 //
 // Output vectors are bit-for-bit identical to Vocabulary.Counts and
@@ -27,13 +28,13 @@ import (
 type Vectorizer struct {
 	vocab *Vocabulary
 	idf   []float64
-	// cnt accumulates term frequencies for the current document;
-	// gen[i] == cur marks cnt[i] as belonging to this document, so
-	// resetting between documents is one counter bump, not an O(vocab)
-	// wipe.
+	// cnt accumulates term frequencies for the current document. seen
+	// has bit i set once index i is touched by the current document,
+	// which marks cnt[i] as this document's; gather reads the set bits
+	// back in ascending order and clears them, so seen is all zero
+	// between calls and no O(vocab) wipe is needed.
 	cnt     []float64
-	gen     []uint64
-	cur     uint64
+	seen    []uint64
 	touched []int32 // distinct in-vocabulary indices of the current document
 }
 
@@ -49,8 +50,7 @@ func NewVectorizer(v *Vocabulary) *Vectorizer {
 func (z *Vectorizer) resync() {
 	if n := z.vocab.Size(); len(z.cnt) < n {
 		z.cnt = make([]float64, n)
-		z.gen = make([]uint64, n)
-		z.cur = 0
+		z.seen = make([]uint64, (n+63)/64)
 	}
 	z.idf = z.vocab.IDFVector()
 }
@@ -58,23 +58,32 @@ func (z *Vectorizer) resync() {
 // gather folds the document's terms into the scratch counters and
 // returns the distinct touched indices in ascending order. The slice
 // aliases the Vectorizer's scratch — valid until the next call.
+//
+// The ascending order comes from the seen bitmap: the words between
+// the lowest and highest touched word are scanned once, each set bit
+// emitted lowest first and each word cleared as it is read.
 func (z *Vectorizer) gather(terms []string) []int32 {
 	z.resync()
-	z.cur++
-	z.touched = z.touched[:0]
+	lo, hi := len(z.seen), -1
 	for _, t := range terms {
 		i, ok := z.vocab.index[t]
 		if !ok {
 			continue
 		}
-		if z.gen[i] != z.cur {
-			z.gen[i] = z.cur
+		if w, bit := i>>6, uint64(1)<<(i&63); z.seen[w]&bit == 0 {
+			z.seen[w] |= bit
 			z.cnt[i] = 0
-			z.touched = append(z.touched, int32(i))
+			lo, hi = min(lo, w), max(hi, w)
 		}
 		z.cnt[i]++
 	}
-	slices.Sort(z.touched) // ascending, no closure allocation
+	z.touched = z.touched[:0]
+	for w := lo; w <= hi; w++ {
+		for b := z.seen[w]; b != 0; b &= b - 1 {
+			z.touched = append(z.touched, int32(w<<6+bits.TrailingZeros64(b)))
+		}
+		z.seen[w] = 0
+	}
 	return z.touched
 }
 

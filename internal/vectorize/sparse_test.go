@@ -61,6 +61,68 @@ func TestVectorizerMatchesVocabularyProperty(t *testing.T) {
 	}
 }
 
+// Property: the bitmap gather emits ascending ids at the word
+// boundaries too. Vocabularies of 63, 64 and 65 terms fill one short
+// of, exactly, and one past the first 64-bit bitmap word; documents hit
+// the first and last word, repeat ids, are empty or wholly out of
+// vocabulary, and the vocabulary grows between calls.
+// Each call must match Vocabulary.Counts/TFIDF and leave the bitmap
+// zero.
+func TestVectorizerGatherOrderProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{63, 64, 65, 3000} {
+		terms := make([]string, n+200)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("t%d", i)
+		}
+		v := BuildVocabulary([][]string{terms[:n]})
+		z := NewVectorizer(v)
+		check := func(doc []string) {
+			t.Helper()
+			wantC, gotC := v.Counts(doc), z.Counts(doc)
+			if !vectorsEqual(wantC.Val, gotC.Val, wantC.Ind, gotC.Ind) {
+				t.Fatalf("vocab %d: Counts(%v) = %v %v, want %v %v", n, doc, gotC.Ind, gotC.Val, wantC.Ind, wantC.Val)
+			}
+			wantT, gotT := v.TFIDF(doc), z.TFIDF(doc)
+			if !vectorsEqual(wantT.Val, gotT.Val, wantT.Ind, gotT.Ind) {
+				t.Fatalf("vocab %d: TFIDF(%v) = %v %v, want %v %v", n, doc, gotT.Ind, gotT.Val, wantT.Ind, wantT.Val)
+			}
+			for w, word := range z.seen {
+				if word != 0 {
+					t.Fatalf("vocab %d: bitmap word %d = %#x after a call, want 0", n, w, word)
+				}
+			}
+		}
+		for round := 0; round < 50; round++ {
+			size := v.Size()
+			last := terms[size-1]
+			check(nil)
+			check([]string{"oov", "oov"})
+			check([]string{last, terms[0], last, terms[0]})
+			check([]string{terms[min(63, size-1)], terms[min(64, size-1)], terms[size-1-rng.Intn(size)]})
+			doc := make([]string, rng.Intn(80))
+			for j := range doc {
+				switch rng.Intn(4) {
+				case 0:
+					doc[j] = terms[rng.Intn(min(64, size))] // first word
+				case 1:
+					doc[j] = terms[size-1-rng.Intn(min(64, size))] // last word
+				case 2:
+					doc[j] = terms[rng.Intn(size)]
+				default:
+					doc[j] = terms[size+rng.Intn(len(terms)-size)] // not yet in vocabulary
+				}
+			}
+			check(doc)
+			if round%10 == 9 {
+				// Grow by a few terms, crossing into a new bitmap word
+				// for the small vocabularies.
+				v.AddDocument(terms[size : size+1+rng.Intn(5)])
+			}
+		}
+	}
+}
+
 // The IDF vector is memoized per fitted vocabulary and invalidated when
 // more documents are folded in.
 func TestIDFVectorMemoized(t *testing.T) {
