@@ -55,42 +55,48 @@ func Figure1(e *Env) (*Table, error) {
 // the class graphs → feature vector.
 func Figure2(e *Env) (*Table, error) {
 	snap := e.Snap1
-	var legitDocs, illegitDocs []*ngram.Graph
-	var probe *ngram.Graph
-	var probeDomain string
-	var probeLabel int
-	for i, p := range snap.Pharmacies {
-		text := strings.Join(p.Terms, " ")
-		g := ngram.FromDocument(text)
-		switch {
-		case i == 0:
-			probe, probeDomain, probeLabel = g, p.Domain, p.Label
-		case p.Label == ml.Legitimate && len(legitDocs) < 20:
-			legitDocs = append(legitDocs, g)
-		case p.Label == ml.Illegitimate && len(illegitDocs) < 20:
-			illegitDocs = append(illegitDocs, g)
-		}
-		if len(legitDocs) >= 20 && len(illegitDocs) >= 20 && probe != nil {
+	// The probe is corpus document 0; the class documents follow it
+	// in snapshot order, up to 20 per class.
+	texts := []string{strings.Join(snap.Pharmacies[0].Terms, " ")}
+	var legitDocs, illegitDocs []int
+	for _, p := range snap.Pharmacies[1:] {
+		if len(legitDocs) >= 20 && len(illegitDocs) >= 20 {
 			break
 		}
+		switch {
+		case p.Label == ml.Legitimate && len(legitDocs) < 20:
+			legitDocs = append(legitDocs, len(texts))
+		case p.Label == ml.Illegitimate && len(illegitDocs) < 20:
+			illegitDocs = append(illegitDocs, len(texts))
+		default:
+			continue
+		}
+		texts = append(texts, strings.Join(p.Terms, " "))
 	}
-	legitClass := ngram.MergeAll(legitDocs)
-	illegitClass := ngram.MergeAll(illegitDocs)
-	feats := ngram.Features(probe, legitClass, illegitClass)
+	c := ngram.NewCorpus(texts, 0, 0)
+	legitClass, illegitClass := c.NewClass(), c.NewClass()
+	for _, d := range legitDocs {
+		legitClass.Merge(d)
+	}
+	for _, d := range illegitDocs {
+		illegitClass.Merge(d)
+	}
+	feats := c.Features(0, legitClass, illegitClass)
 
+	probe := snap.Pharmacies[0]
 	t := &Table{
 		ID:     "Figure 2",
 		Title:  "N-Gram-Graph classification process (one traced document)",
 		Header: []string{"step", "value"},
 	}
-	t.AddRow("document", fmt.Sprintf("%s (true class: %s)", probeDomain, ml.ClassName(probeLabel)))
-	t.AddRow("document graph edges", fmt.Sprintf("%d", probe.Size()))
+	t.AddRow("document", fmt.Sprintf("%s (true class: %s)", probe.Domain, ml.ClassName(probe.Label)))
+	t.AddRow("document graph edges", fmt.Sprintf("%d", c.DocSize(0)))
 	t.AddRow("legitimate class graph edges", fmt.Sprintf("%d (merged %d docs)", legitClass.Size(), len(legitDocs)))
 	t.AddRow("illegitimate class graph edges", fmt.Sprintf("%d (merged %d docs)", illegitClass.Size(), len(illegitDocs)))
 	for i, name := range ngram.FeatureNames {
 		t.AddRow(name, f3(feats[i]))
 	}
-	t.AddRow("Eq.(3) textRank", f3(ngram.TextRank(probe, legitClass, illegitClass)))
+	t.AddRow("Eq.(3) textRank", f3(c.TextRank(0, legitClass, illegitClass)))
 	return t, nil
 }
 

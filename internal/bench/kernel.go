@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"pharmaverify/internal/ml"
-	"pharmaverify/internal/ngram"
 	"pharmaverify/internal/vectorize"
 )
 
@@ -131,20 +130,10 @@ func finishKernelEntry(e *KernelEntry) {
 // second.
 const kernelSeed = 424242
 
-// kernelWorkload is the shared synthetic corpus: a lexicon of random
-// words, document texts drawn from it, their prebuilt graphs, and the
-// two class graphs the serving path compares against.
-type kernelWorkload struct {
-	texts     []string
-	docGraphs []*ngram.Graph
-	legit     *ngram.Graph
-	illegit   *ngram.Graph
-
-	termDocs [][]string
-	vocab    *vectorize.Vocabulary
-}
-
-func newKernelWorkload() *kernelWorkload {
+// tfidfWorkload is the shared synthetic corpus of the TF-IDF entry:
+// a vocabulary built from 300 training documents and 64 term lists to
+// vectorize, all drawn from one lexicon of random words.
+func tfidfWorkload() (vocab *vectorize.Vocabulary, termDocs [][]string) {
 	rng := rand.New(rand.NewSource(kernelSeed))
 	lexicon := make([]string, 400)
 	for i := range lexicon {
@@ -154,61 +143,22 @@ func newKernelWorkload() *kernelWorkload {
 		}
 		lexicon[i] = string(b)
 	}
-	text := func(words int) string {
-		var sb strings.Builder
-		for i := 0; i < words; i++ {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(lexicon[rng.Intn(len(lexicon))])
+	terms := func(words int) []string {
+		out := make([]string, words)
+		for i := range out {
+			out[i] = lexicon[rng.Intn(len(lexicon))]
 		}
-		return sb.String()
+		return out
 	}
-
-	w := &kernelWorkload{}
-	classDocs := func(n int) []*ngram.Graph {
-		gs := make([]*ngram.Graph, n)
-		for i := range gs {
-			gs[i] = ngram.FromDocument(text(150))
-		}
-		return gs
-	}
-	w.legit = ngram.MergeAll(classDocs(24))
-	w.illegit = ngram.MergeAll(classDocs(24))
-
-	w.texts = make([]string, 32)
-	w.docGraphs = make([]*ngram.Graph, len(w.texts))
-	for i := range w.texts {
-		w.texts[i] = text(150)
-		w.docGraphs[i] = ngram.FromDocument(w.texts[i])
-	}
-
 	train := make([][]string, 300)
 	for i := range train {
-		train[i] = strings.Fields(text(120))
+		train[i] = terms(120)
 	}
-	w.vocab = vectorize.BuildVocabulary(train)
-	w.termDocs = make([][]string, 64)
-	for i := range w.termDocs {
-		w.termDocs[i] = strings.Fields(text(120))
+	termDocs = make([][]string, 64)
+	for i := range termDocs {
+		termDocs[i] = terms(120)
 	}
-	return w
-}
-
-// naiveEight is the pre-kernel Compare path: the four standalone
-// similarity functions against each class, with NormalizedValue
-// recomputing Size and Value internally.
-func naiveEight(g, legit, illegit *ngram.Graph) [8]float64 {
-	return [8]float64{
-		ngram.ContainmentSimilarity(g, legit),
-		ngram.SizeSimilarity(g, legit),
-		ngram.ValueSimilarity(g, legit),
-		ngram.NormalizedValueSimilarity(g, legit),
-		ngram.ContainmentSimilarity(g, illegit),
-		ngram.SizeSimilarity(g, illegit),
-		ngram.ValueSimilarity(g, illegit),
-		ngram.NormalizedValueSimilarity(g, illegit),
-	}
+	return vectorize.BuildVocabulary(train), termDocs
 }
 
 func vectorsEqual(a, b ml.Vector) bool {
@@ -223,119 +173,46 @@ func vectorsEqual(a, b ml.Vector) bool {
 	return true
 }
 
-// RunKernelBenchmarks measures the single-pass feature kernels against
-// their naive reference implementations on a fixed synthetic workload
-// and reports per-op time, allocations and byte-identity (see
+// RunKernelBenchmarks measures the request-path feature kernels
+// against their naive reference implementations on a fixed synthetic
+// workload and reports per-op time, allocations and byte-identity (see
 // measurePair). benchtime <= 0 uses DefaultKernelBenchtime per batch.
+// Its one entry is sparse TF-IDF vectorization: the scratch-buffer
+// Vectorizer against the map-based Vocabulary.TFIDF, as on the
+// daemon's request path.
 func RunKernelBenchmarks(benchtime time.Duration) []KernelEntry {
 	if benchtime <= 0 {
 		benchtime = DefaultKernelBenchtime
 	}
-	w := newKernelWorkload()
-	var entries []KernelEntry
-
-	// Text to 8-feature vector against map-based class graphs, one
-	// document at a time (the daemon never featurizes with n-gram
-	// graphs; training folds use the interned ngram.Corpus). Naive =
-	// FromDocument + the four standalone functions per class; kernel =
-	// pooled builder + single-pass CompareBoth.
-	{
-		e := KernelEntry{
-			ID:        "ngg-compare-both",
-			Desc:      "text -> 8 NGG features vs both class graphs (pooled builder + single pass vs FromDocument + 4 standalone functions x2)",
-			Identical: true,
-		}
-		for i, text := range w.texts {
-			want := naiveEight(w.docGraphs[i], w.legit, w.illegit)
-			got := ngram.DocFeatures(nil, text, w.legit, w.illegit)
-			for k := range want {
-				if got[k] != want[k] {
-					e.Identical = false
-				}
-			}
-		}
-		var i, j int
-		var buf []float64
-		e.NaiveNSOp, e.KernelNSOp, e.NaiveAllocsOp, e.KernelAllocsOp = measurePair(benchtime, func() {
-			g := ngram.FromDocument(w.texts[i%len(w.texts)])
-			f := naiveEight(g, w.legit, w.illegit)
-			kernelSink += f[0]
-			i++
-		}, func() {
-			buf = ngram.DocFeatures(buf, w.texts[j%len(w.texts)], w.legit, w.illegit)
-			kernelSink += buf[0]
-			j++
-		})
-		finishKernelEntry(&e)
-		entries = append(entries, e)
+	vocab, termDocs := tfidfWorkload()
+	e := KernelEntry{
+		ID:        "tfidf-sparse",
+		Desc:      "terms -> L2-normalized TF-IDF vector (scratch-buffer Vectorizer vs map-based Vocabulary.TFIDF)",
+		Identical: true,
 	}
-
-	// Prebuilt graphs: isolates the single-traversal win of CompareBoth
-	// over eight standalone calls (which walk the document's edges about
-	// eight times between them). Neither path allocates, so only the
-	// time ratio is meaningful here.
-	{
-		e := KernelEntry{
-			ID:        "ngg-compare-graphs",
-			Desc:      "prebuilt graphs -> CompareBoth vs 4 standalone similarity functions x2 classes",
-			Identical: true,
+	z := vectorize.NewVectorizer(vocab)
+	for _, doc := range termDocs {
+		if !vectorsEqual(z.TFIDF(doc), vocab.TFIDF(doc)) {
+			e.Identical = false
 		}
-		for _, g := range w.docGraphs {
-			want := naiveEight(g, w.legit, w.illegit)
-			a, b := ngram.CompareBoth(g, w.legit, w.illegit)
-			got := [8]float64{a.CS, a.SS, a.VS, a.NVS, b.CS, b.SS, b.VS, b.NVS}
-			if got != want {
-				e.Identical = false
-			}
-		}
-		var i, j int
-		e.NaiveNSOp, e.KernelNSOp, e.NaiveAllocsOp, e.KernelAllocsOp = measurePair(benchtime, func() {
-			f := naiveEight(w.docGraphs[i%len(w.docGraphs)], w.legit, w.illegit)
-			kernelSink += f[0]
-			i++
-		}, func() {
-			a, b := ngram.CompareBoth(w.docGraphs[j%len(w.docGraphs)], w.legit, w.illegit)
-			kernelSink += a.CS + b.CS
-			j++
-		})
-		finishKernelEntry(&e)
-		entries = append(entries, e)
 	}
-
-	// Sparse TF-IDF vectorization: the scratch-buffer Vectorizer against
-	// the map-based Vocabulary.TFIDF, as on the daemon's request path.
-	{
-		e := KernelEntry{
-			ID:        "tfidf-sparse",
-			Desc:      "terms -> L2-normalized TF-IDF vector (scratch-buffer Vectorizer vs map-based Vocabulary.TFIDF)",
-			Identical: true,
-		}
-		z := vectorize.NewVectorizer(w.vocab)
-		for _, doc := range w.termDocs {
-			if !vectorsEqual(z.TFIDF(doc), w.vocab.TFIDF(doc)) {
-				e.Identical = false
-			}
-		}
-		var i, j int
-		var nv, kv ml.Vector
-		e.NaiveNSOp, e.KernelNSOp, e.NaiveAllocsOp, e.KernelAllocsOp = measurePair(benchtime, func() {
-			nv = w.vocab.TFIDF(w.termDocs[i%len(w.termDocs)])
-			i++
-		}, func() {
-			kv = z.TFIDF(w.termDocs[j%len(w.termDocs)])
-			j++
-		})
-		if len(nv.Val) > 0 {
-			kernelSink += nv.Val[0]
-		}
-		if len(kv.Val) > 0 {
-			kernelSink += kv.Val[0]
-		}
-		finishKernelEntry(&e)
-		entries = append(entries, e)
+	var i, j int
+	var nv, kv ml.Vector
+	e.NaiveNSOp, e.KernelNSOp, e.NaiveAllocsOp, e.KernelAllocsOp = measurePair(benchtime, func() {
+		nv = vocab.TFIDF(termDocs[i%len(termDocs)])
+		i++
+	}, func() {
+		kv = z.TFIDF(termDocs[j%len(termDocs)])
+		j++
+	})
+	if len(nv.Val) > 0 {
+		kernelSink += nv.Val[0]
 	}
-
-	return entries
+	if len(kv.Val) > 0 {
+		kernelSink += kv.Val[0]
+	}
+	finishKernelEntry(&e)
+	return []KernelEntry{e}
 }
 
 // kernelFloors holds every kernel entry's bars; an entry without a row
@@ -347,12 +224,7 @@ func RunKernelBenchmarks(benchtime time.Duration) []KernelEntry {
 // down: the 1.5 band absorbs what noise the fastest-of-five pairing
 // leaves on a shared runner.
 var kernelFloors = map[string]struct{ speedup, allocRatio, allocsOp float64 }{
-	"ngg-compare-both": {speedup: 2.02, allocRatio: 2.0, allocsOp: 2.02},
-	// One map lookup per class per edge still pays the same per-lookup
-	// cost as the ~6 lookups it replaces, so the prebuilt-graphs entry
-	// lands near 2x rather than 6x. Neither path allocates.
-	"ngg-compare-graphs": {speedup: 1.5, allocsOp: 2},
-	"tfidf-sparse":       {speedup: 1.99, allocRatio: 2.0, allocsOp: 5},
+	"tfidf-sparse": {speedup: 1.99, allocRatio: 2.0, allocsOp: 5},
 	// Training-path kernels (training.go). Ensemble selection drops the
 	// per-comparison metric calls and per-bag slices, so both ratios
 	// carry the optimization's 2x acceptance bar; the webgen kernel's

@@ -24,8 +24,8 @@ func TestKernelBenchmarksIdentity(t *testing.T) {
 
 // TestKernelMeetsFloors asserts the optimization's deterministic
 // acceptance bars: every kernel bit-identical to its naive reference
-// and past its allocation-ratio floor (the both-classes Compare path at
-// least 2x lighter). The wall-clock floors are timed by the CI
+// and past its allocation-ratio floor (the TF-IDF Vectorizer at least
+// 2x lighter). The wall-clock floors are timed by the CI
 // bench-regression gate (experiments -bench-kernel-check) instead:
 // timing a shared machine inside go test fails at random.
 func TestKernelMeetsFloors(t *testing.T) {
@@ -76,15 +76,15 @@ func checkGateFailures(t *testing.T, ids ...string) {
 }
 
 func TestCheckKernelRegression(t *testing.T) {
-	checkGateFailures(t, "ngg-compare-both", "ngg-compare-graphs", "tfidf-sparse")
+	checkGateFailures(t, "tfidf-sparse")
 
 	// The allocation-ratio floors bind in CheckKernelFloors, which does
 	// not time anything.
-	light := KernelEntry{ID: "ngg-compare-both", Speedup: 3, AllocRatio: 1.5, Identical: true}
+	light := KernelEntry{ID: "tfidf-sparse", Speedup: 3, AllocRatio: 1.5, Identical: true}
 	if err := CheckKernelFloors([]KernelEntry{light}); err == nil || !strings.Contains(err.Error(), "alloc ratio") {
 		t.Errorf("alloc floor violation should fail CheckKernelFloors, got %v", err)
 	}
-	slow := KernelEntry{ID: "ngg-compare-both", Speedup: 1, AllocRatio: 5, Identical: true}
+	slow := KernelEntry{ID: "tfidf-sparse", Speedup: 1, AllocRatio: 5, Identical: true}
 	if err := CheckKernelFloors([]KernelEntry{slow}); err != nil {
 		t.Errorf("a speedup below its floor is no deterministic failure: %v", err)
 	}

@@ -25,7 +25,7 @@ import (
 //   - The plane itself (documents, labels, names) is cheap and lives
 //     in the content-keyed feature cache like every derived artifact.
 //   - The interned corpus is the expensive part (every document's
-//     edge ids and weights, 12 bytes per distinct edge of a document),
+//     edge ids and counts, 8 bytes per distinct edge of a document),
 //     so it is reference-counted: acquire builds it on first use,
 //     release drops it when the last holder leaves. Memory is bounded
 //     by one corpus per *concurrently training* configuration, not
@@ -104,9 +104,9 @@ func (p *trainingPlane) release() {
 }
 
 // classGraphs merges the documents listed in classIdx into per-class
-// graphs in classIdx order — the order in which the map-based
-// reference merges them, hence bit-identical class graphs. Requires a
-// held acquire.
+// graphs in classIdx order, the order the sequential reference of
+// featplane_test.go merges them in, hence bit-identical class graphs.
+// Requires a held acquire.
 func (p *trainingPlane) classGraphs(classIdx []int) (legit, illegit *ngram.ClassGraph) {
 	legit, illegit = p.corpus.NewClass(), p.corpus.NewClass()
 	for _, i := range classIdx {
@@ -122,7 +122,7 @@ func (p *trainingPlane) classGraphs(classIdx []int) (legit, illegit *ngram.Class
 // featureDataset builds one fold's 8-feature similarity dataset from
 // the interned corpus: class graphs merged from classIdx, then one
 // CompareBoth per document — no graph construction at all. Rows are
-// bit-identical to those of the map-based reference (featplane_test.go).
+// bit-identical to those of the sequential reference (featplane_test.go).
 // workers/grain bound the document fan-out (a GrainPlan's
 // DocWorkers/DocGrain).
 func (p *trainingPlane) featureDataset(classIdx []int, workers, grain int) *ml.Dataset {
@@ -146,7 +146,7 @@ func (p *trainingPlane) featureDataset(classIdx []int, workers, grain int) *ml.D
 
 // textRanks computes the Equation-3 ranking score of every document
 // against class graphs merged from classIdx, scaled to [0,1] —
-// bit-identical to the DocTextRank path over the same half split.
+// bit-identical to the sequential reference over the same half split.
 func (p *trainingPlane) textRanks(classIdx []int, workers, grain int) []float64 {
 	legit, illegit := p.classGraphs(classIdx)
 	out := make([]float64, len(p.Docs))

@@ -10,36 +10,40 @@ import (
 	"pharmaverify/internal/ngram"
 )
 
-// NGGFeatureDataset is the map-based reference for the plane's
+// NGGFeatureDataset is the sequential reference for the plane's
 // feature pass: the 8-feature similarity dataset of Figure 2 for the
 // given document texts, with class graphs merged from the instances
-// listed in classIdx and every document graph built from its text.
+// listed in classIdx, over a fresh corpus built on one worker. The
+// Corpus itself is pinned against the naive n-gram graph in package
+// ngram; this reference pins what the plane adds: class-index routing,
+// merge order and the worker fan-out.
 func NGGFeatureDataset(docs []string, labels []int, names []string, classIdx []int) *ml.Dataset {
-	legit, illegit := nggClassGraphs(docs, labels, classIdx)
+	c, legit, illegit := nggClassGraphs(docs, labels, classIdx)
 	ds := &ml.Dataset{Dim: 8}
-	for i, doc := range docs {
+	for i := range docs {
 		name := ""
 		if names != nil {
 			name = names[i]
 		}
-		ds.Add(ml.NewVector(ngram.DocFeatures(nil, doc, legit, illegit)), labels[i], name)
+		ds.Add(ml.NewVector(c.Features(i, legit, illegit)), labels[i], name)
 	}
 	return ds
 }
 
-// nggClassGraphs builds the map-based per-class merged graphs from the
-// instances listed in classIdx, in classIdx order.
-func nggClassGraphs(docs []string, labels []int, classIdx []int) (legit, illegit *ngram.Graph) {
-	legit, illegit = ngram.New(), ngram.New()
+// nggClassGraphs builds a fresh single-worker corpus of docs and its
+// per-class merged graphs from the instances listed in classIdx, in
+// classIdx order.
+func nggClassGraphs(docs []string, labels []int, classIdx []int) (c *ngram.Corpus, legit, illegit *ngram.ClassGraph) {
+	c = ngram.NewCorpus(docs, 1, 0)
+	legit, illegit = c.NewClass(), c.NewClass()
 	for _, i := range classIdx {
-		g := ngram.FromDocument(docs[i])
 		if labels[i] == ml.Legitimate {
-			legit.Merge(g)
+			legit.Merge(i)
 		} else {
-			illegit.Merge(g)
+			illegit.Merge(i)
 		}
 	}
-	return legit, illegit
+	return c, legit, illegit
 }
 
 // TestPlaneFeatureDatasetMatchesNaive is the bit-identity property of
@@ -70,8 +74,8 @@ func TestPlaneFeatureDatasetMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPlaneTextRanksMatchNaive pins the ranking path the same way:
-// prebuilt-graph TextRank against the pooled DocTextRank reference.
+// TestPlaneTextRanksMatchNaive pins the ranking path the same way,
+// including the /8 scale of the plane's text ranks.
 func TestPlaneTextRanksMatchNaive(t *testing.T) {
 	snap := testSnapshot(t, 1)
 	docs := nggDocuments(snap, 100, 9)
@@ -84,15 +88,15 @@ func TestPlaneTextRanksMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	perm := rng.Perm(len(docs))
 	half := perm[:len(docs)/2]
-	legit, illegit := nggClassGraphs(docs, labels, half)
+	c, legit, illegit := nggClassGraphs(docs, labels, half)
 	want := make([]float64, len(docs))
 	for i := range docs {
-		want[i] = ngram.DocTextRank(docs[i], legit, illegit) / 8
+		want[i] = c.TextRank(i, legit, illegit) / 8
 	}
 	for _, workers := range []int{1, 3} {
 		got := plane.textRanks(half, workers, 4)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers %d: plane text ranks differ from DocTextRank reference", workers)
+			t.Fatalf("workers %d: plane text ranks differ from the sequential reference", workers)
 		}
 	}
 }

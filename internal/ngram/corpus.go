@@ -2,33 +2,33 @@ package ngram
 
 import (
 	"math/bits"
+	"sync"
 
 	"pharmaverify/internal/parallel"
 )
 
-// This file is the interned twin of the map-based class-graph
-// pipeline, for callers that merge and compare the same set of
+// A Corpus is built for callers that merge and compare the same set of
 // documents many times (the cross-validation folds of a training
-// corpus). A Corpus numbers the distinct edges of its documents'
-// graphs densely, once; each document becomes a list of edge ids and
-// true weights in its own insertion order, and a ClassGraph becomes a
-// flat weight slice indexed by edge id. Merge and CompareBoth then
-// index slices where Graph.Merge and the Graph kernel probe a hash map
-// per edge.
+// corpus). It numbers the distinct edges of its documents' graphs
+// densely, once; each document becomes a list of edge ids and
+// co-occurrence counts in its own insertion order, and a ClassGraph
+// becomes a flat weight slice indexed by edge id. Merge and
+// CompareBoth then index slices where the map-based definition probes
+// a hash map per edge.
 //
-// The dense twins are bit-for-bit identical to the map-based ones
-// (see TestCorpusMatchesGraphsProperty and FuzzCorpusFeatures),
-// because they perform the same floating-point operations in the same
-// order:
+// The Corpus is bit-for-bit identical to the map-based reference graph
+// of the tests (see TestCorpusMatchesGraphsProperty and
+// FuzzCorpusFeatures), because it performs the same floating-point
+// operations in the same order:
 //
 //   - Every per-edge update touches only that edge's own accumulator,
 //     and edge ids are only addresses, so the numbering never changes
 //     an operand or the order in which one accumulator is updated.
 //   - Merges fold documents in the caller's order, each document's
-//     edges in its insertion order, with the same running-average
-//     expressions as Graph.Merge.
-//   - CompareBoth walks the document's insertion order, exactly as
-//     the Graph kernel does, so VS sums the same terms in the same
+//     edges in its insertion order, with the reference's
+//     running-average expressions.
+//   - CompareBoth walks the document's insertion order, as the
+//     reference's VS does, so VS sums the same terms in the same
 //     order; CS and SS are functions of integer counts.
 //
 // Presence is tested as weight ≠ 0 instead of map membership. That is
@@ -47,8 +47,8 @@ type Corpus struct {
 
 // corpusDoc is one document graph in the corpus's numbering.
 type corpusDoc struct {
-	ids []int32   // edge ids, in the document's insertion order
-	w   []float64 // true weights (co-occurrence counts), aligned with ids
+	ids []int32  // edge ids, in the document's insertion order
+	w   []uint32 // co-occurrence counts, aligned with ids; float64(w[k]) is exact
 }
 
 // The edge numbering is sharded and chunked, so it runs on every core
@@ -60,8 +60,8 @@ type corpusDoc struct {
 //     each document's insertion order) through an open-addressed
 //     edgeTable, and the shards of a chunk run concurrently.
 //   - Documents are built corpusChunk at a time: a chunk's documents
-//     are built in parallel into copied key lists, numbered across the
-//     shards, and their key buffers reused for the next chunk.
+//     are built in parallel into per-slot key buffers, numbered across
+//     the shards, and the key buffers reused for the next chunk.
 //   - A final pass rewrites each shard-local id as the shard's offset
 //     (the edge counts of the shards before it) plus its local id.
 //
@@ -84,9 +84,11 @@ func edgeHash(e packedEdge) uint64 {
 	return (uint64(e.src) ^ bits.RotateLeft64(uint64(e.dst), 32)) * 0x9e3779b97f4a7c15
 }
 
-// edgeTable is one shard's numbering: a linear-probing hash table from
-// edge to local id with power-of-two capacity, doubled when an insert
-// would take it past a load of 3/4.
+// edgeTable numbers edges in order of first appearance: a
+// linear-probing hash table from edge to local id with power-of-two
+// capacity, doubled when an insert would take it past a load of 3/4.
+// Each shard of the corpus numbering has one, and so does each
+// document builder, which numbers one document's edges at a time.
 type edgeTable struct {
 	keys  []packedEdge
 	ids   []int32 // local id + 1; 0 marks an empty slot
@@ -143,12 +145,71 @@ func (t *edgeTable) grow() {
 	}
 }
 
+// reset empties the table, keeping its capacity.
+func (t *edgeTable) reset() {
+	clear(t.ids)
+	t.n = 0
+}
+
+// docBuilder builds document graphs with reusable scratch: the rune,
+// gram-id, key and count buffers and the edgeTable that dedupes a
+// document's edges survive across documents, so they grow with the
+// largest document's distinct edges, not its co-occurrences. It holds
+// no result, so pooling it is safe at any concurrency.
+type docBuilder struct {
+	runes []rune
+	grams []gramID
+	keys  []packedEdge // the last document's distinct edges, in first-seen order
+	w     []uint32     // their co-occurrence counts, aligned with keys
+	seen  edgeTable
+}
+
+var builderPool = sync.Pool{New: func() any { return &docBuilder{seen: newEdgeTable()} }}
+
+// build leaves text's distinct edges, with the paper's default rank
+// and window, in b.keys in first-seen order and their co-occurrence
+// counts, aligned, in b.w, until the next build. Each n-gram is
+// connected to the n-grams that start within the DefaultWindow
+// characters preceding it. The table numbers edges in first-seen
+// order, so an edge's local id is its position in b.keys. A count is
+// at most DefaultWindow times the document's rune count, so it fits a
+// uint32 below 2³⁰ runes.
+func (b *docBuilder) build(text string) {
+	b.seen.reset()
+	b.keys, b.w = b.keys[:0], b.w[:0]
+	b.runes = b.runes[:0]
+	for _, r := range text {
+		b.runes = append(b.runes, r)
+	}
+	count := len(b.runes) - DefaultN + 1
+	if count < 2 {
+		return
+	}
+	if cap(b.grams) < count {
+		b.grams = make([]gramID, count)
+	}
+	grams := b.grams[:count]
+	for i := range grams {
+		grams[i] = hashRunes(b.runes[i : i+DefaultN])
+	}
+	for i := 1; i < count; i++ {
+		for j := max(0, i-DefaultWindow); j < i; j++ {
+			e := packedEdge{grams[j], grams[i]}
+			if id := b.seen.number(e, edgeHash(e)<<shardBits); int(id) < len(b.keys) {
+				b.w[id]++
+			} else {
+				b.keys = append(b.keys, e)
+				b.w = append(b.w, 1)
+			}
+		}
+	}
+}
+
 // NewCorpus builds the graphs of texts with the paper's default
-// parameters, as FromDocument does, and numbers their distinct edges
-// densely. workers and grain bound the parallel document builds and
-// the final id rewrite (see parallel.ForGrain); workers also bounds
-// the shards numbered at once. The corpus is the same at every worker
-// count and grain.
+// parameters and numbers their distinct edges densely. workers and
+// grain bound the parallel document builds and the final id rewrite
+// (see parallel.ForGrain); workers also bounds the shards numbered at
+// once. The corpus is the same at every worker count and grain.
 func NewCorpus(texts []string, workers, grain int) *Corpus {
 	docs := make([]corpusDoc, len(texts))
 	var tables [corpusShards]edgeTable
@@ -159,15 +220,13 @@ func NewCorpus(texts []string, workers, grain int) *Corpus {
 	for lo := 0; lo < len(texts); lo += corpusChunk {
 		chunk := keys[:min(corpusChunk, len(texts)-lo)]
 		parallel.ForGrain(len(chunk), workers, grain, func(a, b int) {
-			bld := builderPool.Get().(*Builder)
+			bld := builderPool.Get().(*docBuilder)
 			for i := a; i < b; i++ {
-				g := bld.Doc(texts[lo+i])
-				chunk[i] = append(chunk[i][:0], g.order...)
-				w := make([]float64, len(g.order))
-				for k, e := range g.order {
-					w[k] = g.w[e] * g.scale
-				}
-				docs[lo+i] = corpusDoc{ids: make([]int32, len(g.order)), w: w}
+				bld.build(texts[lo+i])
+				chunk[i] = append(chunk[i][:0], bld.keys...)
+				w := make([]uint32, len(bld.w))
+				copy(w, bld.w)
+				docs[lo+i] = corpusDoc{ids: make([]int32, len(w)), w: w}
 			}
 			builderPool.Put(bld)
 		})
@@ -202,8 +261,12 @@ func NewCorpus(texts []string, workers, grain int) *Corpus {
 	return &Corpus{docs: docs, edges: edges}
 }
 
-// ClassGraph is a class graph over a Corpus's edge numbering, the
-// dense twin of a Graph built by Merge. Like Graph it keeps a lazy
+// DocSize reports the number of distinct edges |G| of corpus document
+// doc's graph.
+func (c *Corpus) DocSize(doc int) int { return len(c.docs[doc].ids) }
+
+// ClassGraph is a class graph over a Corpus's edge numbering, merged
+// from corpus documents with a running-average update. It keeps a lazy
 // global scale: the true weight of edge id is w[id]·scale, and an edge
 // is present exactly when w[id] ≠ 0 (see the invariant above).
 type ClassGraph struct {
@@ -219,15 +282,22 @@ func (c *Corpus) NewClass() *ClassGraph {
 	return &ClassGraph{c: c, w: make([]float64, c.edges), scale: 1}
 }
 
+// Size reports the number of edges |G| of the class graph.
+func (g *ClassGraph) Size() int { return g.size }
+
 // Merge folds corpus document doc into g with the running-average
-// update of Graph.Merge, performing the same float operations in the
-// same order.
+// update of the JInsect class-graph operator: after merging k
+// documents the edge weights are the mean weights over those
+// documents, with edges absent from a document decaying toward zero
+// via the 1/(k+1) learning factor. The update w' = w·(1-l) + w_doc·l
+// is applied lazily through the global scale, so a merge costs
+// O(|doc|).
 func (g *ClassGraph) Merge(doc int) {
 	d := &g.c.docs[doc]
 	l := 1.0 / float64(g.merged+1)
 	if g.merged == 0 {
 		for k, id := range d.ids {
-			g.w[id] = d.w[k]
+			g.w[id] = float64(d.w[k])
 		}
 		g.size = len(d.ids)
 		g.scale = 1
@@ -240,17 +310,14 @@ func (g *ClassGraph) Merge(doc int) {
 		if g.w[id] == 0 {
 			g.size++
 		}
-		// Graph.Merge multiplies by the document's scale too; a
-		// document graph's scale is 1, so the product is unchanged.
-		g.w[id] += l * d.w[k] * inv
+		g.w[id] += l * float64(d.w[k]) * inv
 	}
 	g.merged++
 }
 
 // CompareBoth computes the four similarities of corpus document doc
 // against two class graphs of the same corpus in one traversal of the
-// document's edges — bit-for-bit what CompareBoth returns for the
-// equivalent map-based graphs.
+// document's edges.
 func (c *Corpus) CompareBoth(doc int, legit, illegit *ClassGraph) (Similarity, Similarity) {
 	if legit.c != c || illegit.c != c {
 		panic("ngram: class graph of another corpus")
@@ -262,7 +329,7 @@ func (c *Corpus) CompareBoth(doc int, legit, illegit *ClassGraph) (Similarity, S
 	var accL, accI classAccum
 	if wantL || wantI {
 		for k, id := range d.ids {
-			wi := d.w[k]
+			wi := float64(d.w[k])
 			if wantL {
 				if wj := legit.w[id]; wj != 0 {
 					accL.accumulate(wi, wj, legit.scale)
@@ -278,14 +345,15 @@ func (c *Corpus) CompareBoth(doc int, legit, illegit *ClassGraph) (Similarity, S
 	return accL.finish(docSize, legit.size), accI.finish(docSize, illegit.size)
 }
 
-// Features is Features for corpus document doc: its 8-feature vector
-// against the two class graphs.
+// Features returns corpus document doc's 8-feature vector against the
+// two class graphs, in the FeatureNames layout.
 func (c *Corpus) Features(doc int, legit, illegit *ClassGraph) []float64 {
 	a, b := c.CompareBoth(doc, legit, illegit)
 	return featureRow(nil, a, b)
 }
 
-// TextRank is TextRank (Equation 3) for corpus document doc.
+// TextRank returns corpus document doc's Equation-3 ranking score
+// against the two class graphs, in [0, 8].
 func (c *Corpus) TextRank(doc int, legit, illegit *ClassGraph) float64 {
 	return textRank(c.CompareBoth(doc, legit, illegit))
 }

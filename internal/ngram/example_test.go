@@ -6,24 +6,25 @@ import (
 	"pharmaverify/internal/ngram"
 )
 
-func ExampleFromText() {
-	// Bigrams of "abcde" with a window of 1: each gram links to its
-	// immediate predecessor.
-	g := ngram.FromText("abcde", 2, 1)
-	fmt.Println(g.Size(), "edges")
-	fmt.Printf("%.0f\n", g.Weight(ngram.Edge{Src: "ab", Dst: "bc"}))
-	// Output:
-	// 3 edges
-	// 1
-}
-
-func ExampleCompare() {
-	legitClass := ngram.MergeAll([]*ngram.Graph{
-		ngram.FromDocument("licensed pharmacy prescription refill health"),
-		ngram.FromDocument("pharmacist consultation insurance prescription"),
-	})
-	doc := ngram.FromDocument("licensed pharmacy prescription services")
-	sim := ngram.Compare(doc, legitClass)
+// Two class graphs merged from corpus documents, and a fourth document
+// compared against both.
+func ExampleCorpus() {
+	c := ngram.NewCorpus([]string{
+		"licensed pharmacy prescription refill health",
+		"pharmacist consultation insurance prescription",
+		"cheap pills no prescription discount",
+		"licensed pharmacy prescription services",
+	}, 1, 0)
+	legit, illegit := c.NewClass(), c.NewClass()
+	legit.Merge(0)
+	legit.Merge(1)
+	illegit.Merge(2)
+	fmt.Println(c.DocSize(3), "document edges,", legit.Size(), "legitimate class edges")
+	sim, _ := c.CompareBoth(3, legit, illegit)
 	fmt.Println(sim.CS > 0.2, sim.SS > 0, sim.VS <= sim.CS)
-	// Output: true true true
+	fmt.Printf("text rank %.3f\n", c.TextRank(3, legit, illegit))
+	// Output:
+	// 134 document edges, 279 legitimate class edges
+	// true true true
+	// text rank 4.288
 }

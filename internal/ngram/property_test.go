@@ -25,17 +25,15 @@ func randomText(rng *rand.Rand, words int) string {
 func TestSimilaritiesBoundedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
-		a := FromDocument(randomText(rng, 2+rng.Intn(60)))
-		b := FromDocument(randomText(rng, 2+rng.Intn(60)))
-		for name, v := range map[string]float64{
-			"CS":  ContainmentSimilarity(a, b),
-			"SS":  SizeSimilarity(a, b),
-			"VS":  ValueSimilarity(a, b),
-			"NVS": NormalizedValueSimilarity(a, b),
-		} {
+		c := NewCorpus([]string{randomText(rng, 2+rng.Intn(60)), randomText(rng, 2+rng.Intn(60))}, 1, 0)
+		s := similarity(c, 0, classOf(c, 1))
+		for name, v := range map[string]float64{"CS": s.CS, "SS": s.SS, "VS": s.VS, "NVS": s.NVS} {
 			if v < 0 || v > 1+1e-9 {
 				t.Fatalf("%s = %v out of range", name, v)
 			}
+		}
+		if self := similarity(c, 0, classOf(c, 0)); c.DocSize(0) > 0 && self != (Similarity{1, 1, 1, 1}) {
+			t.Fatalf("self-similarity %+v, want all 1", self)
 		}
 	}
 }
@@ -45,20 +43,21 @@ func TestSimilaritiesBoundedProperty(t *testing.T) {
 func TestMergeIdempotentOnIdenticalDocsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 30; trial++ {
-		doc := FromDocument(randomText(rng, 5+rng.Intn(40)))
-		if doc.Size() == 0 {
+		c := NewCorpus([]string{randomText(rng, 5+rng.Intn(40))}, 1, 0)
+		if c.DocSize(0) == 0 {
 			continue
 		}
-		class := New()
+		class := c.NewClass()
 		k := 2 + rng.Intn(5)
 		for i := 0; i < k; i++ {
-			class.Merge(doc)
+			class.Merge(0)
 		}
-		if class.Size() != doc.Size() {
-			t.Fatalf("size changed: %d vs %d", class.Size(), doc.Size())
+		if class.Size() != c.DocSize(0) {
+			t.Fatalf("size changed: %d vs %d", class.Size(), c.DocSize(0))
 		}
-		for _, e := range doc.Edges(10) {
-			got, want := class.Weight(e), doc.Weight(e)
+		d := c.docs[0]
+		for i, id := range d.ids {
+			got, want := class.weight(id), float64(d.w[i])
 			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("weight drifted: %v vs %v", got, want)
 			}
@@ -72,15 +71,19 @@ func TestMergeIdempotentOnIdenticalDocsProperty(t *testing.T) {
 func TestMergeAllCoversAllEdgesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		var docs []*Graph
-		for i := 0; i < 2+rng.Intn(6); i++ {
-			docs = append(docs, FromDocument(randomText(rng, 5+rng.Intn(30))))
+		texts := make([]string, 2+rng.Intn(6))
+		for i := range texts {
+			texts[i] = randomText(rng, 5+rng.Intn(30))
 		}
-		class := MergeAll(docs)
-		for di, d := range docs {
-			for _, e := range d.Edges(0) {
-				if !class.Contains(e) {
-					t.Fatalf("doc %d edge %v missing from class graph", di, e)
+		c := NewCorpus(texts, 1, 0)
+		class := c.NewClass()
+		for i := range texts {
+			class.Merge(i)
+		}
+		for di, d := range c.docs {
+			for _, id := range d.ids {
+				if class.w[id] == 0 {
+					t.Fatalf("doc %d edge %d missing from class graph", di, id)
 				}
 			}
 		}
@@ -104,21 +107,25 @@ func TestClassDiscriminationProperty(t *testing.T) {
 		return b.String()
 	}
 	for trial := 0; trial < 20; trial++ {
-		var same, other []*Graph
+		// Documents 0–4 share the probe's vocabulary, 5–9 do not, and
+		// document 10 is the probe.
+		var texts []string
 		for i := 0; i < 5; i++ {
-			same = append(same, FromDocument(randomText(rng, 40)))
-			other = append(other, FromDocument(greek(40)))
+			texts = append(texts, randomText(rng, 40))
 		}
-		sameClass := MergeAll(same)
-		otherClass := MergeAll(other)
-		probe := FromDocument(randomText(rng, 40))
-		if ValueSimilarity(probe, sameClass) <= ValueSimilarity(probe, otherClass) {
+		for i := 0; i < 5; i++ {
+			texts = append(texts, greek(40))
+		}
+		texts = append(texts, randomText(rng, 40))
+		c := NewCorpus(texts, 1, 0)
+		same, other := c.CompareBoth(10, classOf(c, 0, 1, 2, 3, 4), classOf(c, 5, 6, 7, 8, 9))
+		if same.VS <= other.VS {
 			t.Fatalf("probe closer to disjoint-vocabulary class")
 		}
 	}
 }
 
-// Property: total edge weight of FromText equals the number of
+// Property: total edge weight of fromText equals the number of
 // (position, predecessor) pairs: Σ_{i=1..n-1} min(i, win).
 func TestFromTextTotalWeightProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
@@ -126,26 +133,22 @@ func TestFromTextTotalWeightProperty(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		win := 1 + rng.Intn(6)
 		text := randomText(rng, 1+rng.Intn(20))
-		g := FromText(text, n, win)
+		g := fromText(text, n, win)
 		runes := []rune(text)
 		grams := len(runes) - n + 1
 		if grams < 1 {
-			if g.Size() != 0 {
+			if g.size() != 0 {
 				t.Fatal("short text must give empty graph")
 			}
 			continue
 		}
 		want := 0.0
 		for i := 1; i < grams; i++ {
-			w := i
-			if w > win {
-				w = win
-			}
-			want += float64(w)
+			want += float64(min(i, win))
 		}
 		var got float64
-		for _, e := range g.Edges(0) {
-			got += g.Weight(e)
+		for _, e := range g.order {
+			got += g.w[e]
 		}
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("total weight %v, want %v (n=%d win=%d)", got, want, n, win)

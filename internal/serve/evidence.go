@@ -134,19 +134,30 @@ func (r registrySource) Assess(ctx context.Context, _ *core.Verifier, p dataset.
 
 // StaticRegistry is an in-memory RegistryLookup over a fixed
 // domain → legitimacy table — the pluggable registry stub (and the
-// -registry-file backend of pharmaverifyd).
+// -registry-file backend of pharmaverifyd). Domains are keyed through
+// normalizeDomain, as verify requests are, so "www.Pharmacy.example:443"
+// and "https://pharmacy.example/" name one entry.
 type StaticRegistry struct{ verdicts map[string]bool }
 
 // NewStaticRegistry builds a registry from a domain → legitimate map.
+// Where two keys normalize to one domain with different verdicts, the
+// domain is recorded illegitimate: the map has no order to pick a
+// winner by, and a table that lists any form of a name as
+// illegitimate does not vouch for it.
 func NewStaticRegistry(verdicts map[string]bool) *StaticRegistry {
-	m := make(map[string]bool, len(verdicts))
+	r := &StaticRegistry{verdicts: make(map[string]bool, len(verdicts))}
 	for d, v := range verdicts {
-		m[strings.ToLower(d)] = v
+		d = normalizeDomain(d)
+		if prev, ok := r.verdicts[d]; ok {
+			v = v && prev
+		}
+		r.verdicts[d] = v
 	}
-	return &StaticRegistry{verdicts: m}
+	return r
 }
 
-// Lookup implements RegistryLookup.
+// Lookup implements RegistryLookup. domain is a normalized request
+// domain (normalizeDomain).
 func (r *StaticRegistry) Lookup(_ context.Context, domain string) (legitimate, known bool, err error) {
 	v, ok := r.verdicts[domain]
 	return v, ok, nil
@@ -157,9 +168,12 @@ func (r *StaticRegistry) Len() int { return len(r.verdicts) }
 
 // ParseRegistry reads the -registry-file format: one "domain status"
 // pair per line, status ∈ {legitimate, illegitimate}; blank lines and
-// #-comments are ignored.
+// #-comments are ignored. Where lines name one normalized domain, the
+// last of them wins, so a correction appended to a file takes effect.
+// A malformed line, or a domain that normalizes to nothing, rejects
+// the whole file.
 func ParseRegistry(r io.Reader) (*StaticRegistry, error) {
-	verdicts := make(map[string]bool)
+	reg := &StaticRegistry{verdicts: make(map[string]bool)}
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -172,11 +186,15 @@ func ParseRegistry(r io.Reader) (*StaticRegistry, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("registry line %d: want \"domain legitimate|illegitimate\", got %q", line, text)
 		}
+		domain := normalizeDomain(fields[0])
+		if domain == "" {
+			return nil, fmt.Errorf("registry line %d: %q names no domain", line, fields[0])
+		}
 		switch strings.ToLower(fields[1]) {
 		case "legitimate", "legit":
-			verdicts[strings.ToLower(fields[0])] = true
+			reg.verdicts[domain] = true
 		case "illegitimate", "illegit":
-			verdicts[strings.ToLower(fields[0])] = false
+			reg.verdicts[domain] = false
 		default:
 			return nil, fmt.Errorf("registry line %d: unknown status %q", line, fields[1])
 		}
@@ -184,5 +202,5 @@ func ParseRegistry(r io.Reader) (*StaticRegistry, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return &StaticRegistry{verdicts: verdicts}, nil
+	return reg, nil
 }

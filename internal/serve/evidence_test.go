@@ -52,6 +52,106 @@ func TestParseRegistryRejectsMalformedLines(t *testing.T) {
 	}
 }
 
+// TestRegistryKeysLikeRequests: a registry entry must match the
+// normalized domain a verify request is looked up under, whatever
+// scheme, www., port, path or case the registry file wrote it with.
+func TestRegistryKeysLikeRequests(t *testing.T) {
+	reg, err := ParseRegistry(strings.NewReader(`
+www.Pharmacy.example:443        legitimate
+https://rogue.example/checkout  illegitimate
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := NewStaticRegistry(map[string]bool{"HTTP://WWW.Shop.example/": true})
+	for _, tc := range []struct {
+		reg     *StaticRegistry
+		request string
+		want    bool
+	}{
+		{reg, "pharmacy.example", true},
+		{reg, "https://www.pharmacy.example/", true},
+		{reg, "rogue.example:8443", false},
+		{static, "shop.example", true},
+	} {
+		legit, known, err := tc.reg.Lookup(context.Background(), normalizeDomain(tc.request))
+		if err != nil || !known || legit != tc.want {
+			t.Errorf("Lookup(%s) = (%v, %v, %v), want (%v, true, nil)", tc.request, legit, known, err, tc.want)
+		}
+	}
+	if reg.Len() != 2 || static.Len() != 1 {
+		t.Errorf("Len = %d and %d, want 2 and 1", reg.Len(), static.Len())
+	}
+}
+
+// TestParseRegistryLastLineWins: a registry file is ordered, so where
+// lines name one normalized domain the last one decides, and a
+// correction appended to the file takes effect.
+func TestParseRegistryLastLineWins(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want bool
+	}{
+		{"a.example legitimate\nwww.a.example illegitimate", false},
+		{"a.example illegitimate\nA.example:443 legitimate", true},
+		{"a.example illegitimate\nb.example legitimate\nhttps://a.example/ legit", true},
+	} {
+		reg, err := ParseRegistry(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if legit, known, _ := reg.Lookup(context.Background(), "a.example"); !known || legit != tc.want {
+			t.Errorf("%q: a.example (legitimate=%v, known=%v), want legitimate=%v", tc.in, legit, known, tc.want)
+		}
+	}
+}
+
+// TestStaticRegistryConflictIsIllegitimate: a map has no order, so
+// keys that normalize to one domain with different verdicts leave it
+// illegitimate, whatever order the map iterates in.
+func TestStaticRegistryConflictIsIllegitimate(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		reg := NewStaticRegistry(map[string]bool{"a.example": true, "WWW.a.example": false, "b.example": true})
+		if legit, _, _ := reg.Lookup(context.Background(), "a.example"); legit {
+			t.Fatal("NewStaticRegistry let a legitimate alias override an illegitimate one")
+		}
+	}
+}
+
+// FuzzParseRegistry: a registry file is operator input, but it may be
+// assembled from third-party lists. ParseRegistry must not panic; a
+// rejection is an error with no table, never a partial table; and
+// every accepted line's domain is found under its normalized name,
+// with the verdict of the last line that names it.
+func FuzzParseRegistry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		reg, err := ParseRegistry(strings.NewReader(in))
+		if err != nil {
+			if reg != nil {
+				t.Fatalf("ParseRegistry returned a table with the error %v", err)
+			}
+			return
+		}
+		want := map[string]bool{}
+		for _, line := range strings.Split(in, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+				continue
+			}
+			d := normalizeDomain(fields[0])
+			want[d] = strings.HasPrefix(strings.ToLower(fields[1]), "legit")
+		}
+		if reg.Len() != len(want) {
+			t.Fatalf("registry holds %d domains, the accepted lines name %d", reg.Len(), len(want))
+		}
+		for d, w := range want {
+			if legit, known, _ := reg.Lookup(context.Background(), d); !known || legit != w {
+				t.Fatalf("Lookup(%q) = (%v, %v), want (%v, true)", d, legit, known, w)
+			}
+		}
+	})
+}
+
 func TestRegistrySourceSemantics(t *testing.T) {
 	p := dataset.Pharmacy{Domain: "a.example"}
 

@@ -635,17 +635,37 @@ func (s *Server) requestDomains(req VerifyRequest) ([]string, error) {
 
 // normalizeDomain canonicalizes one domain name the way the verify
 // endpoint does — lowercase, scheme/www./path stripped, port removed —
-// so cache keys, corpus membership and re-verification sweeps all agree
-// on a domain's identity.
+// so cache keys, registry keys, corpus membership and re-verification
+// sweeps all agree on a domain's identity. It is idempotent: the
+// stripping steps repeat until none applies, so "www.www.example"
+// becomes "example" in one call, not in two.
+//
+// Its cost is linear in len(d), which a request body sets. The steps
+// at the ends, each O(1) beyond the bytes it removes, repeat first
+// until none applies; only then are the path cut and the port
+// stripped, which scan the string. That scan runs at most three
+// times: after the first no '/' is left, the ends no longer change
+// but for trailing space, and a port is stripped at most once.
 func normalizeDomain(d string) string {
-	d = strings.ToLower(strings.TrimSpace(d))
-	d = strings.TrimPrefix(d, "http://")
-	d = strings.TrimPrefix(d, "https://")
-	d = strings.TrimPrefix(d, "www.")
-	if i := strings.IndexByte(d, '/'); i >= 0 {
-		d = d[:i]
+	d = strings.ToLower(d)
+	for {
+		n := strings.TrimSpace(d)
+		n = strings.TrimPrefix(n, "http://")
+		n = strings.TrimPrefix(n, "https://")
+		n = strings.TrimPrefix(n, "www.")
+		if len(n) < len(d) { // every step only removes bytes
+			d = n
+			continue
+		}
+		if i := strings.IndexByte(n, '/'); i >= 0 {
+			n = n[:i]
+		}
+		n = stripPort(n)
+		if len(n) == len(d) {
+			return n
+		}
+		d = n
 	}
-	return stripPort(d)
 }
 
 // stripPort removes a trailing :port from a normalized host so

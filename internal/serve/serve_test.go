@@ -682,6 +682,74 @@ func TestStripPort(t *testing.T) {
 	}
 }
 
+// TestNormalizeDomainIdempotent: one call reaches the name a second
+// call would leave unchanged, for prefixes and ports that only show
+// once an outer layer is stripped.
+func TestNormalizeDomainIdempotent(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"www.www.example", "example"},
+		{"https://WWW.www.Example/x", "example"},
+		{"www. example", "example"},
+		{"www.example :443", "example"},
+		{"www.[::1]:8443", "[::1]"},
+		{"http://https://pharmacy.example", "pharmacy.example"},
+		{"https://http://pharmacy.example", "pharmacy.example"},
+		{"www. [::1]:8443", "[::1]"},
+		{"www.", ""},
+	} {
+		got := normalizeDomain(tc.in)
+		if got != tc.want {
+			t.Errorf("normalizeDomain(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+		if again := normalizeDomain(got); again != got {
+			t.Errorf("normalizeDomain(%q) = %q, not a fixed point (%q)", tc.in, got, again)
+		}
+	}
+}
+
+// TestNormalizeDomainLinear: a request body may hold a megabyte-long
+// domain, and normalizeDomain runs before admission control, so its
+// cost must stay linear. A pass over the whole string per stripped
+// prefix would scan about 10¹¹ bytes for the first input (tens of
+// seconds); a linear pass takes milliseconds.
+func TestNormalizeDomainLinear(t *testing.T) {
+	const reps = 1 << 18
+	start := time.Now()
+	for _, tc := range []struct{ in, want string }{
+		{strings.Repeat("www.", reps) + "example", "example"},
+		{"https://" + strings.Repeat(" www.", reps) + "example:443/x", "example"},
+		{strings.Repeat("http://https://", reps/4) + "example", "example"},
+		{"www.example" + strings.Repeat(" /", reps), "example"},
+		{"example" + strings.Repeat(":1 ", reps), "example" + strings.Repeat(":1 ", reps-1) + ":1"},
+	} {
+		if got := normalizeDomain(tc.in); got != tc.want {
+			t.Errorf("normalizeDomain(%.40q…) = %.40q…, want %.40q…", tc.in, got, tc.want)
+		}
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("normalizing the long domains took %v; the cost is no longer linear", el)
+	}
+}
+
+// FuzzNormalizeDomain: request bodies are written by adversaries, and
+// the sweep re-normalizes names the server stored normalized. So
+// normalizeDomain must not panic, must be idempotent, and must leave
+// no path and no port that stripPort would remove.
+func FuzzNormalizeDomain(f *testing.F) {
+	f.Fuzz(func(t *testing.T, d string) {
+		n := normalizeDomain(d)
+		if again := normalizeDomain(n); again != n {
+			t.Fatalf("normalizeDomain(%q) = %q, but normalizing that gives %q", d, n, again)
+		}
+		if strings.Contains(n, "/") {
+			t.Fatalf("normalizeDomain(%q) = %q keeps a path", d, n)
+		}
+		if stripPort(n) != n {
+			t.Fatalf("normalizeDomain(%q) = %q keeps a port", d, n)
+		}
+	})
+}
+
 // TestConfigCrawlDefaultsMergeFieldwise: customizing one crawl-budget
 // field must keep the serving defaults of the rest — the old code
 // replaced the whole struct only when MaxPages, AttemptBudget and
