@@ -165,3 +165,55 @@ func checkLiveInvariants(t *testing.T, g *LiveGraph, maxNodes, maxOut int) {
 		t.Fatalf("stats count %d edges, lists hold %d", st.Edges, edges)
 	}
 }
+
+// FuzzRankKernel decodes its input into a small graph and ranks it
+// with the lane kernel against the scatter reference, bit for bit: the
+// first byte sets the node count (1–64) and the second the damping (0
+// selects the default); every following byte pair (a, b) is a seed of
+// weight 1+b/255 on node a when a's top bit is set, else an edge from
+// node a to node b (self links and repeats included).
+func FuzzRankKernel(f *testing.F) {
+	f.Add([]byte("\x07\x00\x00\x01\x01\x02\x02\x00\x80\x10"))
+	f.Add([]byte("\x05\x32\x00\x00\x01\x01\x01\x01"))
+	f.Add([]byte("\x01\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(data[0]%64) + 1
+		cfg := Config{Damping: float64(data[1]%100) / 100}
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			g.Node("n" + itoa(i))
+		}
+		seeds := map[string]float64{}
+		for p := data[2:]; len(p) >= 2; p = p[2:] {
+			a, b := int(p[0]&0x7f)%n, int(p[1])%n
+			if p[0]&0x80 != 0 {
+				seeds[g.Name(a)] = 1 + float64(p[1])/255
+			} else {
+				g.AddEdge(g.Name(a), g.Name(b))
+			}
+		}
+		want, got := referenceTrustRank(g, seeds, cfg), TrustRank(g, seeds, cfg)
+		if i, ok := bitsEqual(want, got); !ok {
+			t.Fatalf("TrustRank node %d = %x, reference %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+		// The same kernel on two workers, with its pad slot checked.
+		bias := make([]float64, n)
+		for id := range bias {
+			bias[id] = seeds[g.Name(id)]
+		}
+		trustBias(bias)
+		var c csr
+		c.transpose(g.out)
+		var bufs rankBufs
+		got = rankCSRWorkers(&c, bias, cfg.withDefaults(), 2, &bufs)
+		if i, ok := bitsEqual(biasedRankSerial(g, bias, cfg), got); !ok {
+			t.Fatalf("two-worker kernel diverges at node %d", i)
+		}
+		if math.Float64bits(bufs.share[n]) != 0 || math.Float64bits(bufs.nextShare[n]) != 0 {
+			t.Fatalf("pad slot shares %v, %v, want +0", bufs.share[n], bufs.nextShare[n])
+		}
+	})
+}

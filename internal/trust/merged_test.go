@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -142,5 +143,50 @@ func TestRankerScoresLinklessDomains(t *testing.T) {
 			step := fmt.Sprintf("directed=%v after folding %s", directed, f[0])
 			checkRanked(t, step, r.Rank(), built, TrustRank(g, seeds, Config{}), []string{"lone.com", "end.org"})
 		}
+	}
+}
+
+// TestRankerRankAllocations folds one new domain before each of many
+// Rank calls, as serving does on a cold request, and bounds the bytes
+// a call allocates beyond its result (the node map and the scores).
+// The working buffers follow a graph that grows a few nodes per call;
+// with exact regrowth every call would reallocate each of them, about
+// 150 bytes per node, so the bound pins their amortized growth.
+func TestRankerRankAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base := map[string][]string{}
+	for i := 0; i < 400; i++ {
+		eps := []string{"hub" + fmt.Sprint(i%3)}
+		for k := 0; k < 5; k++ {
+			eps = append(eps, fmt.Sprintf("e%d.com", rng.Intn(800)))
+		}
+		base[fmt.Sprintf("p%d.com", i)] = eps
+	}
+	r := NewRanker(NewBase(base, map[string]float64{"p1.com": 1, "p7.com": 1}), NewLiveGraph(LiveConfig{}), false, Config{})
+	fold := func(i int) {
+		eps := []string{fmt.Sprintf("new%d.com", i), fmt.Sprintf("new%d.org", i), "hub0"}
+		for k := 0; k < 3; k++ {
+			eps = append(eps, fmt.Sprintf("e%d.com", rng.Intn(800)))
+		}
+		r.live.Fold(fmt.Sprintf("cold%d.com", i), eps)
+	}
+	for i := 0; i < 20; i++ { // warm up past the first, exact allocations
+		fold(i)
+		r.Rank()
+	}
+	const calls = 300
+	var before, after runtime.MemStats
+	var extra float64
+	for i := 20; i < 20+calls; i++ {
+		fold(i)
+		runtime.ReadMemStats(&before)
+		got := r.Rank()
+		runtime.ReadMemStats(&after)
+		result := 4*len(got.node) + 8*len(got.scores)
+		extra += float64(after.TotalAlloc-before.TotalAlloc) - float64(result)
+	}
+	nodes := r.Rank().Nodes
+	if perCall := extra / calls; perCall > 4*float64(nodes) {
+		t.Fatalf("Rank allocates %.0f bytes per call beyond its result on a graph of %d nodes; want at most %d", perCall, nodes, 4*nodes)
 	}
 }

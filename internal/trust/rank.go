@@ -117,23 +117,28 @@ func AntiTrustRank(g *Graph, badSeeds map[string]float64, cfg Config) []float64 
 }
 
 // minParallelNodes gates the parallel power iteration: below this node
-// count the fan-out overhead of parallel.ForGrain outweighs the win and
-// the kernel runs on one goroutine. Both ways run the same gather
-// kernel and are bit-identical, so the gate is purely a performance
-// choice, set from BenchmarkRankGate (rank_bench_test.go) — the kernel
-// alone on symmetrized hub-skewed graphs of about six directed edges
-// per node, the serving graph's density. On a 2-vCPU Intel Xeon VM
-// (go1.24, GOMAXPROCS 2), per 100-iteration run, one worker against
-// two: 2048 nodes 1.60–1.84 ms vs 1.87–2.24 ms; 4096 nodes 3.93–4.19 ms
-// vs 2.84–4.18 ms; 8192 nodes 7.7–9.2 ms vs 5.3–5.8 ms; 16384 nodes
-// 16.2–16.8 ms vs 10.1–11.2 ms. Serving graphs (1.5k–3k nodes) stay
-// serial; two workers win clearly from 8192 nodes on.
+// count the per-iteration fan-out of parallel.ForGrain outweighs the
+// win and the kernel runs on one goroutine. Both ways run the same
+// gather kernel and are bit-identical, so the gate is purely a
+// performance choice, set from BenchmarkRankGate (rank_bench_test.go):
+// one rank call on symmetrized graphs with the serving graph's density
+// and hub skew, about 47 iterations to Tol. On a loaded 2-vCPU VM
+// (go1.24, GOMAXPROCS 2), one worker against two, fastest–slowest of
+// six runs: 2048 nodes 1.47–2.12 ms vs 1.63–2.28 ms; 4096 nodes
+// 3.40–4.81 ms vs 4.22–5.95 ms; 8192 nodes 7.02–8.88 ms vs 6.77–8.17
+// ms; 16384 nodes 13.7–18.2 ms vs 11.5–14.2 ms; 32768 nodes 32.9–37.4
+// ms vs 28.1–34.8 ms. Two runs of forty interleaved calls per size put
+// the medians at 4.4–4.5 vs 3.6–3.7 ms (4096), 8.3–9.9 vs 6.5–7.6 ms
+// (8192) and 16.8–17.5 vs 12.4–13.5 ms (16384), and the fastest calls
+// at 2.5–2.8 vs 3.1 ms, 4.6–5.2 vs 4.8–4.9 ms and 10.3 vs 8.3–8.4 ms.
+// Two workers lose at 2048 and on the fastest calls at 4096, are even
+// or ahead from 8192 and win clearly from 16384. Serving graphs
+// (1.5k–3k nodes) stay serial.
 const minParallelNodes = 8192
 
-// rankGrain is the contiguous node range handed to one worker per
-// dispatch in the parallel phases; ~512 nodes amortize the goroutine
-// handoff against the few-nanosecond per-node work.
-const rankGrain = 512
+// rankGrain is the number of lane groups (four nodes each) handed to
+// one worker per dispatch in the parallel phase.
+const rankGrain = 64
 
 // csr is the rank kernel's graph layout: an in-edge compressed sparse
 // row. The sources of node v's in-edges are src[start[v]:start[v+1]],
@@ -152,12 +157,18 @@ type csr struct {
 }
 
 // resize returns s with length n, reusing its backing array when large
-// enough. The contents are unspecified.
+// enough. The contents are unspecified. A first allocation is exact;
+// regrowing an existing buffer leaves a quarter of headroom, so a
+// buffer that follows a slowly growing graph (one more domain per
+// refresh) reallocates O(log n) times instead of on every call.
 func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]T, n)
+	if cap(s) == 0 {
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/4)
 }
 
 // transpose fills c with the in-edge layout of the graph whose
@@ -237,12 +248,13 @@ func biasedRank(g *Graph, bias []float64, cfg Config) []float64 {
 // rankCSR runs personalized PageRank with the given teleport vector
 // over an in-edge layout. Dangling mass is redistributed to the bias
 // vector. One gather kernel serves every worker count: with cfg.Workers
-// resolving above 1 on a graph of at least minParallelNodes, node
-// ranges are gathered concurrently, otherwise in one call over all
-// nodes. Each destination's sum is private to it and accumulates its
-// sources in ascending order, and the only cross-node sums (dangling
-// mass, the L1 delta) run serially in ascending node order, so scores
-// are bit-identical to biasedRankSerial at every worker count.
+// resolving above 1 on a graph of at least minParallelNodes, ranges of
+// lane groups are gathered concurrently, otherwise in one call over
+// all groups. Each destination's sum is private to it and accumulates
+// its sources in ascending order, and the only cross-node sums
+// (dangling mass, the L1 delta) are decided serially in ascending node
+// order, so scores are bit-identical to biasedRankSerial at every
+// worker count (DESIGN §10).
 //
 // The scores are returned in one of bufs' slices, valid until bufs is
 // used again.
@@ -257,91 +269,225 @@ func rankCSR(c *csr, bias []float64, cfg Config, bufs *rankBufs) []float64 {
 
 // rankBufs is the power iteration's working memory; a caller that ranks
 // repeatedly keeps one to reuse it. Every slot the kernel reads is
-// written first, so stale contents never matter.
+// written first, so stale contents never matter. The per-slot buffers
+// are indexed by lane slot (see lanes), out by node.
 type rankBufs struct {
-	rank, next, share, nextShare, diff []float64
-	dangling                           []int32
+	lanes                                    lanes
+	bias, rank, next, share, nextShare, diff []float64
+	out                                      []float64
+	dangling                                 []int32
+}
+
+// lanes is the gather kernel's layout over an in-edge csr of n nodes.
+// Nodes are renumbered into slots by in-degree, descending and stable
+// by id, and slots are taken four at a time as a lane group; the last
+// group is filled up with dummy slots. A group's four in-lists are
+// stored interleaved, row by row: row r holds the slot of the r-th
+// source of each of the group's four nodes, or the pad slot n where
+// that node's list has ended, so every group has as many rows as its
+// first, longest list. Each list keeps its ascending source-id order,
+// so every node adds the same shares in the same order as the scatter
+// reference; slot order only changes which node is visited when, and
+// lets each worker write a contiguous run of slots.
+//
+// Padding is exact because the pad slot's share is always +0: a lane
+// that has run out of sources adds +0 to its accumulator, and
+// x + (+0) == x bit for bit for every x but -0. An accumulator starts
+// at +0 and a sum is -0 only when both addends are, so it is never -0
+// (shares are non-negative anyway: bias, ranks and shares never go
+// below +0). Slots from n on have no sources, no bias and no
+// out-degree, so they write only their own scratch and never a share.
+type lanes struct {
+	slot []int32 // slot[v] is node v's slot
+	node []int32 // node[s] is slot s's node, for s < n
+	off  []int32 // group g's rows are src[off[g]:off[g+1]]
+	src  []int32 // interleaved in-lists of source slots, padded with n
+	deg  []int32 // out-degree by slot; 0 from slot n on
+	cnt  []int32 // counting-sort scratch
+}
+
+// build lays out c's in-lists in lanes, reusing l's buffers.
+func (l *lanes) build(c *csr) {
+	n := len(c.outDeg)
+	groups := (n + 3) / 4
+	inDeg := func(v int32) int32 { return c.start[v+1] - c.start[v] }
+	var maxDeg int32
+	for v := int32(0); v < int32(n); v++ {
+		maxDeg = max(maxDeg, inDeg(v))
+	}
+	// Counting sort on maxDeg-inDeg: bucket k holds in-degree maxDeg-k,
+	// filled in ascending id order.
+	l.cnt = resize(l.cnt, int(maxDeg)+2)
+	clear(l.cnt)
+	for v := int32(0); v < int32(n); v++ {
+		l.cnt[maxDeg-inDeg(v)+1]++
+	}
+	for k := 1; k < len(l.cnt); k++ {
+		l.cnt[k] += l.cnt[k-1]
+	}
+	l.slot, l.node = resize(l.slot, n), resize(l.node, n)
+	for v := int32(0); v < int32(n); v++ {
+		k := maxDeg - inDeg(v)
+		l.slot[v], l.node[l.cnt[k]] = l.cnt[k], v
+		l.cnt[k]++
+	}
+	// A group's first slot is a node with the group's longest list.
+	l.off = resize(l.off, groups+1)
+	l.off[0] = 0
+	for g := 0; g < groups; g++ {
+		l.off[g+1] = l.off[g] + 4*inDeg(l.node[4*g])
+	}
+	l.src = resize(l.src, int(l.off[groups]))
+	l.deg = resize(l.deg, max(4*groups, n+1))
+	clear(l.deg[n:])
+	for s, v := range l.node {
+		l.deg[s] = c.outDeg[v]
+	}
+	for g := 0; g < groups; g++ {
+		rows := l.src[l.off[g]:l.off[g+1]]
+		for lane := 0; lane < 4; lane++ {
+			var list []int32
+			if s := 4*g + lane; s < n {
+				v := l.node[s]
+				list = c.src[c.start[v]:c.start[v+1]]
+			}
+			for r := lane; r < len(rows); r += 4 {
+				rows[r] = int32(n)
+				if len(list) > 0 {
+					rows[r], list = l.slot[list[0]], list[1:]
+				}
+			}
+		}
+	}
 }
 
 // rankCSRWorkers is rankCSR at a resolved worker count (cfg already
-// defaulted): the gather kernel over node ranges on up to workers
-// goroutines, or one call over every node when workers is 1.
+// defaulted): the gather kernel over ranges of lane groups on up to
+// workers goroutines, or one call over every group when workers is 1.
 func rankCSRWorkers(c *csr, bias []float64, cfg Config, workers int, bufs *rankBufs) []float64 {
 	n := len(c.outDeg)
 	if n == 0 {
 		return nil
 	}
+	l := &bufs.lanes
+	l.build(c)
 	dangling := bufs.dangling[:0]
-	for u, d := range c.outDeg {
-		if d == 0 {
-			dangling = append(dangling, int32(u))
+	for _, s := range l.slot {
+		if l.deg[s] == 0 {
+			dangling = append(dangling, s)
 		}
 	}
 	bufs.dangling = dangling
-	bufs.rank, bufs.next = resize(bufs.rank, n), resize(bufs.next, n)
-	bufs.share, bufs.nextShare = resize(bufs.share, n), resize(bufs.nextShare, n)
-	bufs.diff = resize(bufs.diff, n)
-	rank, next, share, nextShare, diff := bufs.rank, bufs.next, bufs.share, bufs.nextShare, bufs.diff
-	copy(rank, bias)
-	for u, d := range c.outDeg {
+	slots := len(l.deg)
+	bufs.bias, bufs.rank, bufs.next = resize(bufs.bias, slots), resize(bufs.rank, slots), resize(bufs.next, slots)
+	bufs.share, bufs.nextShare = resize(bufs.share, slots), resize(bufs.nextShare, slots)
+	bufs.diff = resize(bufs.diff, slots)
+	k := gatherStep{l: l, bias: bufs.bias, rank: bufs.rank, share: bufs.share,
+		next: bufs.next, nextShare: bufs.nextShare, diff: bufs.diff, damping: cfg.Damping}
+	clear(k.bias[n:])
+	for v, s := range l.slot {
+		k.bias[s] = bias[v]
+	}
+	copy(k.rank, k.bias)
+	for s, d := range l.deg {
 		if d > 0 {
-			share[u] = rank[u] / float64(d)
+			k.share[s] = k.rank[s] / float64(d)
 		}
 	}
+	k.share[n], k.nextShare[n] = 0, 0
+	groups := len(l.off) - 1
+	run := k.run
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		var mass float64
-		for _, u := range dangling {
-			mass += rank[u]
+		for _, s := range dangling {
+			mass += k.rank[s]
 		}
-		k := gatherStep{c: c, bias: bias, rank: rank, share: share, next: next, nextShare: nextShare, diff: diff, damping: cfg.Damping, dangling: mass}
+		k.dangling = mass
 		if workers > 1 {
-			parallel.ForGrain(n, workers, rankGrain, k.run)
+			parallel.ForGrain(groups, workers, rankGrain, run)
 		} else {
-			k.run(0, n)
+			run(0, groups)
 		}
-		rank, next = next, rank
-		share, nextShare = nextShare, share
-		// L1 delta in ascending node order — the serial summation order.
-		var delta float64
-		for _, d := range diff {
-			delta += d
-		}
-		if delta < cfg.Tol {
+		k.rank, k.next = k.next, k.rank
+		k.share, k.nextShare = k.nextShare, k.share
+		if l1Below(k.diff, l.slot, cfg.Tol) {
 			break
 		}
 	}
-	return rank
+	bufs.out = resize(bufs.out, n)
+	for v, s := range l.slot {
+		bufs.out[v] = k.rank[s]
+	}
+	return bufs.out
 }
 
-// gatherStep is one power iteration over a node range: every
-// destination gathers its sources' shares, mixes in teleport and
-// dangling mass, and records its new rank, its new share for the next
-// iteration (the division the scatter loop performs once per source)
-// and its L1 change. A range reads only rank, share and bias and writes
-// only its own slots of next, nextShare and diff, so ranges are free of
+// l1Below reports whether the L1 delta, diff summed over slot (node
+// order, the serial reference's summation order), is below tol. That
+// sum is one chain of dependent adds, so a four-chain sum of the same
+// terms in slot order screens it first. Both are sums of the same n
+// non-negative terms, each within a relative γ = (n-1)u/(1-(n-1)u) of
+// the exact sum (u = 2^-53), so the screen s' bounds the reference sum
+// s from below: s >= s'(1-γ)/(1+γ) > s'/2 for any n below 2^50. A
+// screen of at least 2·tol thus proves s >= tol, and only a screen
+// below that (or NaN) pays for the exact sum, which decides.
+func l1Below(diff []float64, slot []int32, tol float64) bool {
+	var d0, d1, d2, d3 float64
+	d := diff[:len(slot)]
+	for ; len(d) >= 4; d = d[4:] {
+		d0 += d[0]
+		d1 += d[1]
+		d2 += d[2]
+		d3 += d[3]
+	}
+	for _, x := range d {
+		d0 += x
+	}
+	if (d0+d1)+(d2+d3) >= 2*tol {
+		return false
+	}
+	var delta float64
+	for _, s := range slot {
+		delta += diff[s]
+	}
+	return delta < tol
+}
+
+// gatherStep is one power iteration over a range of lane groups: every
+// slot gathers its sources' shares, mixes in teleport and dangling
+// mass, and records its new rank, its new share for the next iteration
+// (the division the scatter loop performs once per source) and its L1
+// change. A group reads only rank, share and bias and writes only its
+// own four slots of next, nextShare and diff, so ranges are free of
 // cross-talk at any grain or worker count.
 type gatherStep struct {
-	c                     *csr
+	l                     *lanes
 	bias, rank, share     []float64
 	next, nextShare, diff []float64
 	damping, dangling     float64
 }
 
 func (k *gatherStep) run(lo, hi int) {
-	start, src, outDeg := k.c.start, k.c.src, k.c.outDeg
+	off, src, deg := k.l.off, k.l.src, k.l.deg
 	bias, rank, share := k.bias, k.rank, k.share
 	next, nextShare, diff := k.next, k.nextShare, k.diff
 	damping, dangling := k.damping, k.dangling
-	for v := lo; v < hi; v++ {
-		var acc float64
-		for _, u := range src[start[v]:start[v+1]] {
-			acc += share[u]
+	for g := lo; g < hi; g++ {
+		// Four independent add chains, one per lane.
+		var a0, a1, a2, a3 float64
+		for rows := src[off[g]:off[g+1]]; len(rows) >= 4; rows = rows[4:] {
+			a0 += share[rows[0]]
+			a1 += share[rows[1]]
+			a2 += share[rows[2]]
+			a3 += share[rows[3]]
 		}
-		nv := (1-damping)*bias[v] + damping*(acc+dangling*bias[v])
-		diff[v] = math.Abs(nv - rank[v])
-		next[v] = nv
-		if d := outDeg[v]; d > 0 {
-			nextShare[v] = nv / float64(d)
+		for lane, acc := range [4]float64{a0, a1, a2, a3} {
+			s := 4*g + lane
+			nv := (1-damping)*bias[s] + damping*(acc+dangling*bias[s])
+			diff[s] = math.Abs(nv - rank[s])
+			next[s] = nv
+			if d := deg[s]; d > 0 {
+				nextShare[s] = nv / float64(d)
+			}
 		}
 	}
 }
