@@ -10,7 +10,11 @@
 //	experiments -list                # list available artifacts
 //	experiments -workers 4 -all      # cap the evaluation worker pool
 //	experiments -bench-json out.json # worker-matrix benchmark and its gate
-//	experiments -bench-kernel-check  # kernel micro-benchmarks against their bars
+//
+// The kernel gates (each optimized kernel timed against its naive
+// reference) are benchmarks beside their kernels, not artifacts:
+//
+//	go test -run '^$' -bench '^BenchmarkKernelGate$' -benchtime 1x ./...
 package main
 
 import (
@@ -33,19 +37,18 @@ import (
 
 func main() {
 	var (
-		scaleName   = flag.String("scale", "small", "dataset scale: small or full (paper sizes)")
-		table       = flag.String("table", "", "regenerate one table/artifact by ID (1,3..17,F1..F3,A1..A4)")
-		figure      = flag.String("figure", "", "regenerate one figure by number (1..3)")
-		all         = flag.Bool("all", false, "regenerate every artifact")
-		list        = flag.Bool("list", false, "list available artifacts")
-		format      = flag.String("format", "text", "output format: text or markdown")
-		workers     = flag.Int("workers", 0, "worker-pool size for parallel evaluation (0 = GOMAXPROCS; 1 = sequential)")
-		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		benchJSON   = flag.String("bench-json", "", "run the worker-matrix benchmark, write the JSON report to this file ('-' for stdout) and exit non-zero unless every leg is byte-identical and heavy entries keep the parallel-efficiency floor (skipped single-core)")
-		kernelCheck = flag.Bool("bench-kernel-check", false, "run the kernel micro-benchmarks and exit non-zero if any entry misses its speedup, allocation or identity bar")
-		cpuProf     = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
-		memProf     = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
-		version     = flag.Bool("version", false, "print build information and exit")
+		scaleName = flag.String("scale", "small", "dataset scale: small or full (paper sizes)")
+		table     = flag.String("table", "", "regenerate one table/artifact by ID (1,3..17,F1..F3,A1..A4)")
+		figure    = flag.String("figure", "", "regenerate one figure by number (1..3)")
+		all       = flag.Bool("all", false, "regenerate every artifact")
+		list      = flag.Bool("list", false, "list available artifacts")
+		format    = flag.String("format", "text", "output format: text or markdown")
+		workers   = flag.Int("workers", 0, "worker-pool size for parallel evaluation (0 = GOMAXPROCS; 1 = sequential)")
+		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
+		benchJSON = flag.String("bench-json", "", "run the worker-matrix benchmark, write the JSON report to this file ('-' for stdout) and exit non-zero unless every leg is byte-identical and heavy entries keep the parallel-efficiency floor (skipped single-core)")
+		cpuProf   = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
+		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 
@@ -83,22 +86,6 @@ func main() {
 
 	if *workers > 0 {
 		parallel.SetDefault(*workers)
-	}
-
-	// The kernel micro-benchmarks run on a fixed synthetic workload and
-	// need no dataset Env, so the regression check stays fast enough for
-	// a per-commit CI job.
-	if *kernelCheck {
-		cur := append(bench.RunKernelBenchmarks(0), bench.RunTrainingBenchmarks(0)...)
-		for _, k := range cur {
-			fmt.Printf("%-20s %10.0f ns/op naive %10.0f ns/op kernel (%5.2fx) %7.1f allocs/op naive %5.1f kernel identical=%v\n",
-				k.ID, k.NaiveNSOp, k.KernelNSOp, k.Speedup, k.NaiveAllocsOp, k.KernelAllocsOp, k.Identical)
-		}
-		if err := bench.CheckKernelRegression(cur); err != nil {
-			fatal(err)
-		}
-		fmt.Println("kernel regression check passed")
-		return
 	}
 
 	if *list {

@@ -195,18 +195,9 @@ func selectBagged(probs [][]float64, labels []int, initTop, maxRounds int, metri
 	return selected
 }
 
-func bagMetric(sum []float64, n int, labels []int, metric func([]float64, []int) float64) float64 {
-	avg := make([]float64, len(sum))
-	for i, v := range sum {
-		avg[i] = v / float64(n)
-	}
-	return metric(avg, labels)
-}
-
-// bagMetricInto is bagMetric with caller-owned scratch: the averaged
-// scores land in avg (len(sum)) and the divisions are element-by-element
-// like bagMetric's, so the metric sees bit-identical inputs without a
-// fresh allocation per candidate bag.
+// bagMetricInto scores the bag whose n members sum to sum: the averaged
+// scores land in the caller-owned scratch avg (len(sum)), one division
+// per element, so no candidate bag allocates.
 func bagMetricInto(avg, sum []float64, n int, labels []int, metric func([]float64, []int) float64) float64 {
 	for i, v := range sum {
 		avg[i] = v / float64(n)
@@ -264,9 +255,10 @@ func (s *Selection) SelectionOrder() []string {
 // evaluation reuses one averaging scratch, so a selection run costs
 // O(library) metric calls for the init plus one per candidate, and a
 // constant number of allocations regardless of rounds. The chosen
-// sequence is bit-identical to SelectGreedyReference: the sort reads a
-// table of the same metric values, and the scratch holds the same
-// element-by-element averages the reference computed into fresh slices.
+// sequence is bit-identical to the pre-kernel reference
+// (reference_test.go): the sort reads a table of the same metric
+// values, and the scratch holds the same element-by-element averages
+// the reference computes into fresh slices.
 // The metric must treat its argument as read-only and not retain it
 // across calls (every repository metric qualifies).
 func SelectGreedy(probs [][]float64, labels []int, initTopN, maxRounds int, metric func([]float64, []int) float64) []int {
@@ -330,69 +322,6 @@ func SelectGreedy(probs [][]float64, labels []int, initTopN, maxRounds int, metr
 	return selected
 }
 
-// SelectGreedyReference is the pre-kernel implementation of SelectGreedy,
-// kept verbatim as the naive reference: the sort re-evaluates the metric
-// inside its comparator and every candidate bag averages into a fresh
-// slice. The property tests and the training benchmarks pin SelectGreedy
-// against it — same selections, strictly fewer metric calls and
-// allocations.
-func SelectGreedyReference(probs [][]float64, labels []int, initTopN, maxRounds int, metric func([]float64, []int) float64) []int {
-	if len(probs) == 0 {
-		return nil
-	}
-	if metric == nil {
-		metric = eval.AUC
-	}
-	if initTopN <= 0 {
-		initTopN = 2
-	}
-	if maxRounds <= 0 {
-		maxRounds = 20
-	}
-	n := len(labels)
-
-	single := make([]int, len(probs))
-	for i := range single {
-		single[i] = i
-	}
-	sort.SliceStable(single, func(a, b int) bool {
-		return metric(probs[single[a]], labels) > metric(probs[single[b]], labels)
-	})
-	if initTopN > len(single) {
-		initTopN = len(single)
-	}
-	selected := append([]int{}, single[:initTopN]...)
-
-	sum := make([]float64, n)
-	for _, m := range selected {
-		for i := 0; i < n; i++ {
-			sum[i] += probs[m][i]
-		}
-	}
-	current := bagMetric(sum, len(selected), labels, metric)
-	cand := make([]float64, n)
-	for round := 0; round < maxRounds; round++ {
-		best, bestScore := -1, current
-		for m := range probs {
-			for i := 0; i < n; i++ {
-				cand[i] = sum[i] + probs[m][i]
-			}
-			if sc := bagMetric(cand, len(selected)+1, labels, metric); sc > bestScore {
-				best, bestScore = m, sc
-			}
-		}
-		if best < 0 {
-			break
-		}
-		selected = append(selected, best)
-		for i := 0; i < n; i++ {
-			sum[i] += probs[best][i]
-		}
-		current = bestScore
-	}
-	return selected
-}
-
 // AverageSelected averages the outputs of the selected models (with
 // multiplicity) for one instance's model outputs.
 func AverageSelected(selected []int, modelProbs []float64) float64 {
@@ -404,13 +333,6 @@ func AverageSelected(selected []int, modelProbs []float64) float64 {
 		sum += modelProbs[m]
 	}
 	return sum / float64(len(selected))
-}
-
-// Shuffle is a tiny deterministic helper used by tests and benchmarks to
-// build reproducible library orders.
-func Shuffle(fs []Factory, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
 }
 
 var (

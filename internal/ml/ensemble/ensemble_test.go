@@ -251,6 +251,13 @@ func TestSelectGreedyEmpty(t *testing.T) {
 	}
 }
 
+// Shuffle reorders a library deterministically, for tests that need
+// reproducible library orders.
+func Shuffle(fs []Factory, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+}
+
 func TestShuffleDeterministic(t *testing.T) {
 	a, b := library(), library()
 	Shuffle(a, 42)

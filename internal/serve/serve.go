@@ -519,14 +519,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req VerifyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		code = http.StatusBadRequest
-		writeJSON(w, code, errorBody{Error: "malformed request: " + err.Error()})
-		return
-	}
-	domains, err := s.requestDomains(req)
+	call, err := s.cfg.parseVerify(w, r.Body)
 	if err != nil {
 		code = http.StatusBadRequest
 		writeJSON(w, code, errorBody{Error: err.Error()})
@@ -550,17 +543,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	// Per-request deadline: the client's budget capped by the server's,
-	// layered on the connection context so a disconnect still cancels
-	// the crawl.
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	// The per-request deadline is layered on the connection context so
+	// a disconnect still cancels the crawl.
+	ctx, cancel := context.WithTimeout(r.Context(), call.timeout)
 	defer cancel()
 
 	// One model slot for the whole request: every domain of a batch is
@@ -570,9 +555,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// The fan-out is bounded by BatchWorkers, not Workers: this request
 	// already holds one of the Workers admission slots, so using Workers
 	// again here would let crawl concurrency reach Workers².
-	verdicts := make([]DomainVerdict, len(domains))
-	ctxErr := parallel.ForCtx(ctx, len(domains), s.cfg.BatchWorkers, func(i int) {
-		verdicts[i] = s.verifyDomain(ctx, slot, domains[i], req.Refresh)
+	verdicts := make([]DomainVerdict, len(call.domains))
+	ctxErr := parallel.ForCtx(ctx, len(call.domains), s.cfg.BatchWorkers, func(i int) {
+		verdicts[i] = s.verifyDomain(ctx, slot, call.domains[i], call.refresh)
 	})
 	if ctxErr != nil {
 		// The deadline (or a client disconnect) fired mid-batch: ForCtx
@@ -582,13 +567,13 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		for i := range verdicts {
 			if verdicts[i].Domain == "" {
 				s.met.domains.inc("error")
-				verdicts[i] = DomainVerdict{Domain: domains[i], Error: "not assessed: " + ctxErr.Error()}
+				verdicts[i] = DomainVerdict{Domain: call.domains[i], Error: "not assessed: " + ctxErr.Error()}
 			}
 		}
 	}
 
 	resp := VerifyResponse{Model: slot.fingerprint, Results: verdicts}
-	if len(domains) > 1 {
+	if len(call.domains) > 1 {
 		resp.Ranking = rankDomains(verdicts)
 	}
 	writeJSON(w, code, resp)
@@ -605,8 +590,50 @@ func (s *Server) retryAfterSecs() int {
 	return 1
 }
 
+// maxVerifyBody bounds the bytes of one /v1/verify request body.
+const maxVerifyBody = 1 << 20
+
+// verifyCall is a parsed /v1/verify request: its distinct normalized
+// domains and the deadline it runs under.
+type verifyCall struct {
+	domains []string
+	timeout time.Duration
+	refresh bool
+}
+
+// parseVerify decodes a /v1/verify body of at most maxVerifyBody bytes
+// and applies every rule that comes before admission: the domain list
+// (requestDomains) and the deadline (requestTimeout). Its errors are
+// the client's (HTTP 400).
+func (c *Config) parseVerify(w http.ResponseWriter, body io.ReadCloser) (verifyCall, error) {
+	var req VerifyRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, body, maxVerifyBody)).Decode(&req); err != nil {
+		return verifyCall{}, fmt.Errorf("malformed request: %w", err)
+	}
+	domains, err := c.requestDomains(req)
+	if err != nil {
+		return verifyCall{}, err
+	}
+	return verifyCall{domains: domains, timeout: c.requestTimeout(req.TimeoutMs), refresh: req.Refresh}, nil
+}
+
+// requestTimeout is the per-request deadline for a client budget of ms
+// milliseconds: min(ms, MaxTimeout), or min(DefaultTimeout, MaxTimeout)
+// when ms <= 0. The cap is applied in milliseconds, before converting:
+// ms × time.Millisecond overflows int64 for ms above about 9.2e12 and
+// would wrap to a negative deadline.
+func (c *Config) requestTimeout(ms int) time.Duration {
+	if ms <= 0 {
+		return min(c.DefaultTimeout, c.MaxTimeout)
+	}
+	if int64(ms) > int64(c.MaxTimeout/time.Millisecond) {
+		return c.MaxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
 // requestDomains validates and normalizes the request's domain list.
-func (s *Server) requestDomains(req VerifyRequest) ([]string, error) {
+func (c *Config) requestDomains(req VerifyRequest) ([]string, error) {
 	var domains []string
 	if req.Domain != "" {
 		domains = append(domains, req.Domain)
@@ -615,8 +642,8 @@ func (s *Server) requestDomains(req VerifyRequest) ([]string, error) {
 	if len(domains) == 0 {
 		return nil, errors.New(`provide "domain" or "domains"`)
 	}
-	if len(domains) > s.cfg.MaxBatch {
-		return nil, fmt.Errorf("batch of %d exceeds the maximum of %d", len(domains), s.cfg.MaxBatch)
+	if len(domains) > c.MaxBatch {
+		return nil, fmt.Errorf("batch of %d exceeds the maximum of %d", len(domains), c.MaxBatch)
 	}
 	seen := make(map[string]bool, len(domains))
 	out := domains[:0]

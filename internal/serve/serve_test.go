@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -651,7 +652,7 @@ func TestRequestDomainsNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.requestDomains(VerifyRequest{Domains: []string{
+	got, err := s.cfg.requestDomains(VerifyRequest{Domains: []string{
 		"HTTPS://WWW.Example.COM/checkout?x=1", "example.com:443", "example.com", " other.net ",
 	}})
 	if err != nil {
@@ -662,6 +663,44 @@ func TestRequestDomainsNormalization(t *testing.T) {
 	want := []string{"example.com", "other.net"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("requestDomains = %v, want %v", got, want)
+	}
+}
+
+// TestRequestTimeoutClamp: a client budget is capped at MaxTimeout
+// before it becomes a time.Duration. Budgets whose millisecond
+// conversion overflows int64 once wrapped to a negative deadline that
+// slipped under the cap, and every domain came back "not assessed".
+func TestRequestTimeoutClamp(t *testing.T) {
+	cfg := Config{DefaultTimeout: time.Second, MaxTimeout: 3 * time.Second}.withDefaults()
+	for _, tc := range []struct {
+		ms   string
+		want time.Duration
+	}{
+		{"9223372036855", cfg.MaxTimeout},
+		{"10000000000000", cfg.MaxTimeout},
+		{strconv.FormatInt(math.MaxInt64, 10), cfg.MaxTimeout},
+		{"3001", cfg.MaxTimeout},
+		{"3000", 3 * time.Second},
+		{"250", 250 * time.Millisecond},
+		{"0", time.Second},
+		{"-5", time.Second},
+	} {
+		body := `{"domain":"a.example","timeoutMs":` + tc.ms + `}`
+		call, err := cfg.parseVerify(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)))
+		if err != nil {
+			t.Fatalf("timeoutMs %s: %v", tc.ms, err)
+		}
+		if call.timeout != tc.want {
+			t.Errorf("timeoutMs %s: deadline %v, want %v", tc.ms, call.timeout, tc.want)
+		}
+	}
+
+	// Over HTTP, the largest budget is served under MaxTimeout.
+	w, _, _ := testVerifier(t)
+	_, ts := newTestServer(t, Config{Fetcher: w})
+	code, resp, _ := postVerify(t, ts.URL, VerifyRequest{Domain: pickDomain(t, true), TimeoutMs: math.MaxInt64})
+	if code != http.StatusOK || len(resp.Results) != 1 || resp.Results[0].Error != "" {
+		t.Fatalf("verify with timeoutMs=MaxInt64: status %d, results %+v", code, resp.Results)
 	}
 }
 
@@ -746,6 +785,41 @@ func FuzzNormalizeDomain(f *testing.F) {
 		}
 		if stripPort(n) != n {
 			t.Fatalf("normalizeDomain(%q) = %q keeps a port", d, n)
+		}
+	})
+}
+
+// FuzzVerifyRequest drives the parsing a /v1/verify body goes through
+// before admission (parseVerify) with adversarial bodies. Whatever the
+// body, an accepted request names 1..MaxBatch distinct, non-empty,
+// normalized domains and runs under a deadline in (0, MaxTimeout].
+//
+// The body is pad bytes of leading whitespace, which JSON skips, then
+// body: a corpus entry of a few bytes can describe a body over
+// maxVerifyBody without adding a megabyte to the repository.
+func FuzzVerifyRequest(f *testing.F) {
+	cfg := Config{MaxBatch: 4, DefaultTimeout: 2 * time.Second, MaxTimeout: 1234567 * time.Microsecond}.withDefaults()
+	f.Fuzz(func(t *testing.T, body []byte, pad uint32) {
+		in := io.MultiReader(bytes.NewReader(bytes.Repeat([]byte{' '}, int(pad%(2*maxVerifyBody)))), bytes.NewReader(body))
+		call, err := cfg.parseVerify(httptest.NewRecorder(), io.NopCloser(in))
+		if err != nil {
+			return
+		}
+		if n := len(call.domains); n < 1 || n > cfg.MaxBatch {
+			t.Fatalf("accepted %d domains, want 1..%d", n, cfg.MaxBatch)
+		}
+		seen := map[string]bool{}
+		for _, d := range call.domains {
+			if d == "" || normalizeDomain(d) != d {
+				t.Fatalf("domain %q is empty or not normalized", d)
+			}
+			if seen[d] {
+				t.Fatalf("domain %q accepted twice", d)
+			}
+			seen[d] = true
+		}
+		if call.timeout <= 0 || call.timeout > cfg.MaxTimeout {
+			t.Fatalf("deadline %v outside (0, %v]", call.timeout, cfg.MaxTimeout)
 		}
 	})
 }

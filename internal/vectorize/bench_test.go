@@ -41,13 +41,14 @@ func BenchmarkAddDocument(b *testing.B) {
 }
 
 // BenchmarkTFIDF measures per-document vectorization against a fixed
-// vocabulary.
+// vocabulary through Vectorizer.TFIDF, the path core.Verifier and
+// Corpus.Dataset take.
 func BenchmarkTFIDF(b *testing.B) {
 	docs := benchDocs(64, 2000, 400)
-	v := BuildVocabulary(docs)
+	z := NewVectorizer(BuildVocabulary(docs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.TFIDF(docs[i%len(docs)])
+		gateSink = z.TFIDF(docs[i%len(docs)])
 	}
 }

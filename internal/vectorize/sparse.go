@@ -15,8 +15,8 @@ import (
 // a fresh map plus per-term IDF recomputation. The IDF vector is precomputed once at construction
 // (via Vocabulary.IDFVector).
 //
-// Output vectors are bit-for-bit identical to Vocabulary.Counts and
-// Vocabulary.TFIDF: counts accumulate the same unit increments, and
+// Output vectors are bit-for-bit identical to the map-based reference
+// in reference_test.go: counts accumulate the same unit increments, and
 // TF-IDF weights and the L2 norm are computed in the same ascending
 // feature-index order.
 //
@@ -87,8 +87,8 @@ func (z *Vectorizer) gather(terms []string) []int32 {
 	return z.touched
 }
 
-// Counts vectorizes a document as raw term counts, identically to
-// Vocabulary.Counts.
+// Counts vectorizes a document as raw term counts (the representation
+// the multinomial Naïve Bayes model expects).
 func (z *Vectorizer) Counts(terms []string) ml.Vector {
 	tl := z.gather(terms)
 	v := ml.Vector{Ind: make([]int32, len(tl)), Val: make([]float64, len(tl))}
@@ -99,9 +99,11 @@ func (z *Vectorizer) Counts(terms []string) ml.Vector {
 	return v
 }
 
-// TFIDF vectorizes a document with L2-normalized TF-IDF weights,
-// identically to Vocabulary.TFIDF: weights and norm accumulate in
-// ascending feature-index order, so the rounding matches bit for bit.
+// TFIDF vectorizes a document with L2-normalized TF-IDF weights (the
+// standard variant used for SVMs and trees on text). Weights and norm
+// accumulate in ascending feature-index order, so the vector is
+// bit-for-bit reproducible whatever the order of the terms' first
+// occurrences.
 func (z *Vectorizer) TFIDF(terms []string) ml.Vector {
 	tl := z.gather(terms)
 	v := ml.Vector{Ind: make([]int32, len(tl)), Val: make([]float64, len(tl))}

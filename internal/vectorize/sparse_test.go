@@ -41,8 +41,8 @@ func vectorsEqual(a, b []float64, ai, bi []int32) bool {
 	return true
 }
 
-// Property: the scratch-buffer Vectorizer matches Vocabulary.Counts and
-// Vocabulary.TFIDF bit for bit across many random documents, reusing
+// Property: the scratch-buffer Vectorizer matches the reference
+// Vocabulary.Counts and Vocabulary.TFIDF (reference_test.go) bit for bit across many random documents, reusing
 // one Vectorizer throughout (so stale-scratch bugs would surface).
 func TestVectorizerMatchesVocabularyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

@@ -112,50 +112,6 @@ func (v *Vocabulary) IDFVector() []float64 {
 	return idf
 }
 
-// TermCounts computes the raw term-frequency map of a document,
-// skipping out-of-vocabulary terms.
-func (v *Vocabulary) TermCounts(terms []string) map[int]float64 {
-	m := make(map[int]float64)
-	for _, t := range terms {
-		if i, ok := v.index[t]; ok {
-			m[i]++
-		}
-	}
-	return m
-}
-
-// Counts vectorizes a document as raw term counts (the representation
-// the multinomial Naïve Bayes model expects).
-func (v *Vocabulary) Counts(terms []string) ml.Vector {
-	return ml.FromMap(v.TermCounts(terms))
-}
-
-// TFIDF vectorizes a document with TF-IDF weights, L2-normalized (the
-// standard variant used for SVMs and trees on text).
-//
-// The norm is accumulated in ascending feature-index order — summing
-// over the counts map's randomized iteration order, as this function
-// historically did, changes the rounding of the norm between runs and
-// thus the last bits of every weight. The fixed order keeps the vector
-// bit-for-bit reproducible and lets the scratch-buffer Vectorizer
-// (sparse.go) match it exactly.
-func (v *Vocabulary) TFIDF(terms []string) ml.Vector {
-	vec := ml.FromMap(v.TermCounts(terms))
-	var norm float64
-	for k, i := range vec.Ind {
-		w := vec.Val[k] * v.IDF(int(i))
-		vec.Val[k] = w
-		norm += w * w
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for k := range vec.Val {
-			vec.Val[k] /= norm
-		}
-	}
-	return vec
-}
-
 // vocabularyState is the JSON wire form of a Vocabulary.
 type vocabularyState struct {
 	Terms []string `json:"terms"`
@@ -258,8 +214,7 @@ const datasetGrain = 32
 // buffers) per chunk, and appended to the dataset serially in document
 // order — each document's vector depends only on the shared read-only
 // vocabulary, so the result is bit-identical to the sequential
-// one-Vectorizer loop (and to calling Vocabulary.Counts/TFIDF per
-// document) at any worker count.
+// one-Vectorizer loop at any worker count.
 func (c *Corpus) Dataset(w Weighting) *ml.Dataset {
 	vecs := make([]ml.Vector, len(c.Docs))
 	parallel.ForGrain(len(c.Docs), 0, datasetGrain, func(lo, hi int) {

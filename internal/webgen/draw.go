@@ -61,8 +61,9 @@ func firstFloat64(seed int64) (f float64, ok bool) {
 }
 
 // roleDrawReference is roleDraw through a freshly seeded math/rand
-// source: the naive reference roleDraw is pinned against, and the draw
-// GenerateReference's comparator-driven endpoint assignment uses.
+// source: the naive reference roleDraw is pinned against, the draw
+// roleDraw falls back to when firstFloat64 rounds to 1, and the draw
+// the reference endpoint assignment (reference_test.go) uses.
 func roleDrawReference(seed int64, domain, role string) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|role|%s|%s", seed, domain, role)

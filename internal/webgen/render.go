@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // mixture describes the sampling weights over the four word pools.
@@ -92,23 +94,6 @@ func sampleWord(rng *rand.Rand, m mixture) string {
 	}
 }
 
-// paragraph renders n words as sentence-like chunks.
-func paragraph(rng *rand.Rand, m mixture, n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			if i%11 == 10 {
-				b.WriteString(". ")
-			} else {
-				b.WriteByte(' ')
-			}
-		}
-		b.WriteString(sampleWord(rng, m))
-	}
-	b.WriteByte('.')
-	return b.String()
-}
-
 // externalLinks decides which well-known endpoints a site links to.
 func (w *World) externalLinks(s *Site, rng *rand.Rand) []string {
 	var links []string
@@ -153,152 +138,159 @@ func templateID(s *Site) string {
 	return s.Domain
 }
 
-// assignExternalsReference is the historical endpoint assignment: the
-// per-(site,endpoint) draw recomputed inside the sort comparator —
-// every comparison paying two hasher+RNG constructions. Kept verbatim
-// as the naive reference assignExternals is pinned against (the draws
-// are distinct, so both sorts produce the same unique order).
-func (w *World) assignExternalsReference() {
-	var legitSites, illegitSites []*Site
-	for _, d := range w.domains {
-		s := w.sites[d]
-		switch {
-		case s.Legitimate && !s.Isolated:
-			legitSites = append(legitSites, s)
-		case !s.Legitimate && !s.Evader:
-			illegitSites = append(illegitSites, s)
-		}
-	}
-	assign := func(sites []*Site, ep weightedEndpoint) {
-		k := int(ep.P*float64(len(sites)) + 0.5)
-		if k <= 0 {
-			return
-		}
-		order := make([]*Site, len(sites))
-		copy(order, sites)
-		sort.Slice(order, func(i, j int) bool {
-			return roleDrawReference(w.cfg.Seed, order[i].Domain, "ep|"+ep.Domain) <
-				roleDrawReference(w.cfg.Seed, order[j].Domain, "ep|"+ep.Domain)
-		})
-		if k > len(order) {
-			k = len(order)
-		}
-		for _, s := range order[:k] {
-			s.externals = append(s.externals, "http://www."+ep.Domain+"/")
-		}
-	}
-	for _, ep := range legitEndpoints {
-		assign(legitSites, ep)
-	}
-	for _, ep := range illegitEndpoints {
-		assign(illegitSites, ep)
-	}
-	for _, ep := range legitEndpoints[:5] {
-		assign(illegitSites, weightedEndpoint{Domain: ep.Domain, P: 0.12})
-	}
+// The render kernel: pages are built by direct appends into a reusable
+// per-worker buffer instead of strings.Builder and fmt (%q on a link is
+// strconv.AppendQuote, which is fmt's own string quoting), and
+// paragraphs append into the page buffer instead of materializing
+// intermediate strings. Every RNG draw happens in the same order and
+// under the same short-circuit conditions as in the historical
+// Builder+fmt renderer (reference_test.go), and
+// TestGenerateMatchesReference pins the two byte-identical across
+// seeds, drift knobs and worker counts.
+
+// renderBuf is one worker's render scratch: the page byte buffer and
+// the path list survive across the sites of a chunk, so a warm buffer
+// allocates nothing per page beyond the final string.
+type renderBuf struct {
+	page  []byte
+	paths []string
 }
 
-// renderSite generates all pages of a site.
-func (w *World) renderSite(s *Site) {
+var renderBufPool = sync.Pool{New: func() any { return &renderBuf{page: make([]byte, 0, 4096)} }}
+
+// renderSite generates all pages of a site into s.Pages and s.Paths.
+func (w *World) renderSite(s *Site, rb *renderBuf) {
 	cfg := w.cfg
 	rng := siteRNG(cfg.Seed, cfg.Snapshot, templateID(s), "site")
 	m := w.textMixture(s)
 
 	nPages := cfg.MinPages + rng.Intn(cfg.MaxPages-cfg.MinPages+1)
-	paths := []string{"/", "/about", "/contact"}
+	paths := append(rb.paths[:0], "/", "/about", "/contact")
 	for i := 0; len(paths) < nPages; i++ {
 		if s.Legitimate && i%3 == 2 {
-			paths = append(paths, fmt.Sprintf("/health/%d", i))
+			paths = append(paths, "/health/"+strconv.Itoa(i))
 		} else {
-			paths = append(paths, fmt.Sprintf("/products/%d", i))
+			paths = append(paths, "/products/"+strconv.Itoa(i))
 		}
 	}
+	rb.paths = paths
 
 	externals := w.externalLinks(s, rng)
 
 	s.Pages = make(map[string]string, len(paths))
 	s.Paths = append([]string(nil), paths...)
 	for pi, path := range paths {
-		s.Pages[path] = w.renderPage(s, rng, m, paths, pi, externals)
+		s.Pages[path] = w.renderPage(s, rng, m, paths, pi, externals, rb)
 	}
 }
 
-// renderPage produces the HTML of one page.
-func (w *World) renderPage(s *Site, rng *rand.Rand, m mixture, paths []string, pi int, externals []string) string {
+// renderPage produces the HTML of one page, appended into the worker's
+// reused buffer; the returned string is the only per-page allocation
+// once the buffer is warm.
+func (w *World) renderPage(s *Site, rng *rand.Rand, m mixture, paths []string, pi int, externals []string, rb *renderBuf) string {
 	cfg := w.cfg
 	path := paths[pi]
-	var b strings.Builder
-	b.Grow(4096)
+	b := rb.page[:0]
 
-	title := pageTitle(s, path)
-	b.WriteString("<html><head><title>")
-	b.WriteString(title)
-	b.WriteString("</title></head><body>\n")
-	b.WriteString("<h1>" + title + "</h1>\n")
+	b = append(b, "<html><head><title>"...)
+	b = appendPageTitle(b, s, path)
+	b = append(b, "</title></head><body>\n<h1>"...)
+	b = appendPageTitle(b, s, path)
+	b = append(b, "</h1>\n"...)
 
 	// Navigation: the front page links to every page; inner pages link
 	// home and to the next page so breadth-first crawls reach everything.
-	b.WriteString("<div class=\"nav\">\n")
+	b = append(b, "<div class=\"nav\">\n"...)
 	if path == "/" {
 		for _, p := range paths[1:] {
-			fmt.Fprintf(&b, "<a href=%q>%s</a>\n", p, strings.Trim(p, "/"))
+			b = append(b, "<a href="...)
+			b = strconv.AppendQuote(b, p)
+			b = append(b, '>')
+			b = append(b, strings.Trim(p, "/")...)
+			b = append(b, "</a>\n"...)
 		}
 	} else {
-		b.WriteString("<a href=\"/\">home</a>\n")
-		fmt.Fprintf(&b, "<a href=%q>next</a>\n", paths[(pi+1)%len(paths)])
+		b = append(b, "<a href=\"/\">home</a>\n<a href="...)
+		b = strconv.AppendQuote(b, paths[(pi+1)%len(paths)])
+		b = append(b, ">next</a>\n"...)
 	}
-	b.WriteString("</div>\n")
+	b = append(b, "</div>\n"...)
 
 	// Trust seals: legitimate pharmacies display verification seals,
 	// one of the store-presence signals from the paper's related work.
 	if s.Legitimate && (path == "/" || path == "/about") {
-		b.WriteString("<div class=\"seal\">VIPPS accredited pharmacy — verified by NABP. Licensed pharmacist consultation available. Valid prescription required.</div>\n")
+		b = append(b, "<div class=\"seal\">VIPPS accredited pharmacy — verified by NABP. Licensed pharmacist consultation available. Valid prescription required.</div>\n"...)
 	}
 	if !s.Legitimate && !s.Evader && (path == "/" || strings.HasPrefix(path, "/products")) {
-		b.WriteString("<div class=\"banner\">Cheap generic viagra cialis — no prescription needed! Worldwide discreet overnight shipping. Bonus pills with every order.</div>\n")
+		b = append(b, "<div class=\"banner\">Cheap generic viagra cialis — no prescription needed! Worldwide discreet overnight shipping. Bonus pills with every order.</div>\n"...)
 	}
 
 	// Body paragraphs.
 	words := cfg.MinWords + rng.Intn(cfg.MaxWords-cfg.MinWords+1)
 	nPar := 2 + rng.Intn(3)
 	for i := 0; i < nPar; i++ {
-		b.WriteString("<p>")
-		b.WriteString(paragraph(rng, m, words/nPar))
-		b.WriteString("</p>\n")
+		b = append(b, "<p>"...)
+		b = appendParagraph(b, rng, m, words/nPar)
+		b = append(b, "</p>\n"...)
 	}
 
 	// External links: spread across pages; the front page always gets
 	// the first few so even shallow crawls observe them.
-	b.WriteString("<div class=\"links\">\n")
+	b = append(b, "<div class=\"links\">\n"...)
 	for i, l := range externals {
 		onFront := i < 4
 		if (path == "/" && onFront) || (!onFront && i%len(paths) == pi) || rng.Float64() < 0.15 {
-			fmt.Fprintf(&b, "<a href=%q>partner</a>\n", l)
+			b = append(b, "<a href="...)
+			b = strconv.AppendQuote(b, l)
+			b = append(b, ">partner</a>\n"...)
 		}
 	}
-	b.WriteString("</div>\n")
+	b = append(b, "</div>\n<div class=\"footer\">&copy; "...)
+	b = append(b, s.Domain...)
+	b = append(b, "</div>\n</body></html>\n"...)
 
-	fmt.Fprintf(&b, "<div class=\"footer\">&copy; %s</div>\n", s.Domain)
-	b.WriteString("</body></html>\n")
-	return b.String()
+	rb.page = b // keep the grown capacity for the next page
+	return string(b)
 }
 
-func pageTitle(s *Site, path string) string {
+// appendParagraph renders n words as sentence-like chunks, appending
+// into the page buffer.
+func appendParagraph(b []byte, rng *rand.Rand, m mixture, n int) []byte {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if i%11 == 10 {
+				b = append(b, ". "...)
+			} else {
+				b = append(b, ' ')
+			}
+		}
+		b = append(b, sampleWord(rng, m)...)
+	}
+	return append(b, '.')
+}
+
+// appendPageTitle appends the title of the page at path.
+func appendPageTitle(b []byte, s *Site, path string) []byte {
 	base := strings.SplitN(s.Domain, ".", 2)[0]
 	switch {
 	case path == "/":
+		b = append(b, base...)
 		if s.Legitimate {
-			return base + " — your trusted licensed pharmacy"
+			return append(b, " — your trusted licensed pharmacy"...)
 		}
-		return base + " — cheap meds online"
+		return append(b, " — cheap meds online"...)
 	case path == "/about":
-		return "About " + base
+		b = append(b, "About "...)
+		return append(b, base...)
 	case path == "/contact":
-		return "Contact " + base
+		b = append(b, "Contact "...)
+		return append(b, base...)
 	case strings.HasPrefix(path, "/health/"):
-		return base + " health information"
+		b = append(b, base...)
+		return append(b, " health information"...)
 	default:
-		return base + " products"
+		b = append(b, base...)
+		return append(b, " products"...)
 	}
 }
 

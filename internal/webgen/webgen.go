@@ -160,43 +160,29 @@ type World struct {
 }
 
 // Generate builds the world for a configuration. Sites render through
-// the pooled byte-buffer kernel on the process worker pool (render.go
-// keeps the serial reference; see GenerateReference) — the output is
-// byte-identical either way, pinned by the package tests.
+// the pooled byte-buffer kernel (render.go) on the process worker pool;
+// the output is byte-identical at any worker count, pinned by the
+// package tests.
 func Generate(cfg Config) *World {
-	w, order := buildWorld(cfg, false)
+	w, order := buildWorld(cfg, (*World).assignExternals)
 	plan := parallel.PlanGrainFor("webgen-render", 0, 1, len(order))
 	parallel.ForGrain(len(order), plan.DocWorkers, plan.DocGrain, func(lo, hi int) {
 		rb := renderBufPool.Get().(*renderBuf)
 		for i := lo; i < hi; i++ {
-			w.renderSiteFast(w.sites[order[i]], rb)
+			w.renderSite(w.sites[order[i]], rb)
 		}
 		renderBufPool.Put(rb)
 	})
 	return w
 }
 
-// GenerateReference is Generate through the historical sequential
-// paths: comparator-driven endpoint assignment and the
-// strings.Builder + fmt renderer, one site at a time. It exists as the
-// naive reference the generation kernels are pinned against in tests
-// and the training benchmarks; production callers want Generate.
-func GenerateReference(cfg Config) *World {
-	w, order := buildWorld(cfg, true)
-	for _, d := range order {
-		w.renderSite(w.sites[d])
-	}
-	return w
-}
-
 // buildWorld runs every generation phase except page rendering: site
 // plans, role assignment, hub attachment, external-endpoint assignment
-// and churn. It returns the world plus the site rendering order (plan
-// order: legitimate then illegitimate). Rendering is a pure per-site
-// function of the returned state, which is what lets Generate fan it
-// out. reference selects the historical endpoint-assignment sort (see
-// assignExternalsReference).
-func buildWorld(cfg Config, reference bool) (*World, []string) {
+// (the assignExternals step passed in) and churn. It returns the world
+// plus the site rendering order (plan order: legitimate then
+// illegitimate). Rendering is a pure per-site function of the returned
+// state, which is what lets Generate fan it out.
+func buildWorld(cfg Config, assignExternals func(*World)) (*World, []string) {
 	cfg = cfg.withDefaults()
 	w := &World{cfg: cfg, sites: make(map[string]*Site)}
 
@@ -263,11 +249,7 @@ func buildWorld(cfg Config, reference bool) (*World, []string) {
 	for i, s := range burst {
 		s.HubDomain = burst[(i/cfg.BurstCohortSize)*cfg.BurstCohortSize].HubDomain
 	}
-	if reference {
-		w.assignExternalsReference()
-	} else {
-		w.assignExternals()
-	}
+	assignExternals(w)
 	if cfg.LinkChurn > 0 && cfg.Snapshot >= 2 {
 		w.churnExternals()
 	}
@@ -344,9 +326,9 @@ func (w *World) assignExternals() {
 	// of twice per sort comparison, where the reference pays a hasher, a
 	// formatted write and a freshly seeded RNG per draw. The draws are
 	// distinct in practice, so sorting by the table yields the exact
-	// order the comparator-driven reference sort produces; the reference
-	// lives in assignExternalsReference and the package tests pin full
-	// worlds byte-identical across both paths.
+	// order the comparator-driven reference sort (reference_test.go)
+	// produces, and the package tests pin full worlds byte-identical
+	// across both paths.
 	var order []*Site
 	var keys []float64
 	assign := func(sites []*Site, ep weightedEndpoint) {
