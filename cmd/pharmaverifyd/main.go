@@ -328,7 +328,7 @@ func startReverify(srv *serve.Server, o reverifyOpts) (stop func(), err error) {
 	}
 
 	pipe := reverify.New(srv, cfg)
-	srv.RegisterMetrics(pipe.WriteMetrics)
+	srv.RegisterMetrics(pipe.Metrics())
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -6,7 +6,6 @@ import (
 
 	"pharmaverify/internal/dataset"
 	"pharmaverify/internal/eval"
-	"pharmaverify/internal/featcache"
 	"pharmaverify/internal/ml"
 	"pharmaverify/internal/ml/ensemble"
 	"pharmaverify/internal/parallel"
@@ -117,7 +116,7 @@ func EnsembleCVCtx(ctx context.Context, snap *dataset.Snapshot, cfg EnsembleConf
 		// repeated ensemble runs (re-verification sweeps, the daemon's
 		// retrain loop) reuse it outright.
 		foldKey := fmt.Sprintf("nggfold|%s|%d|%d|%d|%d", snap.ContentHash(), cfg.Terms, cfg.Folds, cfg.Seed, f)
-		v, _ := featureCache.DoScoped(featcache.ScopeTraining, foldKey, func() (any, error) {
+		v, _ := featureCache.Do(foldKey, func() (any, error) {
 			return plane.featureDataset(buildIdx[:len(buildIdx)/2], plan.DocWorkers, plan.DocGrain), nil
 		})
 		nggDS := v.(*ml.Dataset)

@@ -59,11 +59,11 @@ type trainingPlane struct {
 var planeGenerations atomic.Uint64
 
 // trainingPlaneFor returns the shared plane for a corpus, memoized in
-// the feature cache under the training scope. The returned plane holds
-// no interned corpus until acquired.
+// the feature cache. The returned plane holds no interned corpus until
+// acquired.
 func trainingPlaneFor(snap *dataset.Snapshot, terms int, seed int64) *trainingPlane {
 	key := fmt.Sprintf("plane|%s|%d|%d", snap.ContentHash(), terms, seed)
-	v, _ := featureCache.DoScoped(featcache.ScopeTraining, key, func() (any, error) {
+	v, _ := featureCache.Do(key, func() (any, error) {
 		return &trainingPlane{
 			Docs:   nggDocuments(snap, terms, seed),
 			Labels: snap.Labels(),
@@ -159,13 +159,9 @@ func (p *trainingPlane) textRanks(classIdx []int, workers, grain int) []float64 
 }
 
 // FeatureCacheScopeStats reports the shared feature cache's hit/miss
-// counters split by scope. The training scope is always present
-// (zeroed when untouched) so /metrics and the bench output can render
-// it unconditionally; unscoped traffic, if any, appears under "".
+// counters under its one scope, featcache.ScopeTraining: every caller
+// of the cache is the training pipeline.
 func FeatureCacheScopeStats() map[string]featcache.CacheStats {
-	out := featureCache.StatsByScope()
-	if _, ok := out[featcache.ScopeTraining]; !ok {
-		out[featcache.ScopeTraining] = featcache.CacheStats{}
-	}
-	return out
+	hits, misses, _ := featureCache.Stats()
+	return map[string]featcache.CacheStats{featcache.ScopeTraining: {Hits: hits, Misses: misses}}
 }

@@ -68,7 +68,7 @@ func ResetFeatureCache() { featureCache.Purge() }
 // build is shared by every classifier and both weighting schemes.
 func textCorpus(snap *dataset.Snapshot, terms int, seed int64) *vectorize.Corpus {
 	key := fmt.Sprintf("corpus|%s|%d|%d", snap.ContentHash(), terms, seed)
-	v, _ := featureCache.DoScoped(featcache.ScopeTraining, key, func() (any, error) {
+	v, _ := featureCache.Do(key, func() (any, error) {
 		docs := snap.SubsampledTerms(terms, seed)
 		return vectorize.NewCorpus(docs, snap.Labels(), snap.Domains()), nil
 	})
@@ -90,7 +90,7 @@ func TFIDFDataset(snap *dataset.Snapshot, cfg TextConfig) *ml.Dataset {
 		w = vectorize.WeightCounts
 	}
 	key := fmt.Sprintf("tv|%s|%d|%d|%d", snap.ContentHash(), cfg.Terms, cfg.Seed, w)
-	v, _ := featureCache.DoScoped(featcache.ScopeTraining, key, func() (any, error) {
+	v, _ := featureCache.Do(key, func() (any, error) {
 		return textCorpus(snap, cfg.Terms, cfg.Seed).Dataset(w), nil
 	})
 	return v.(*ml.Dataset)
@@ -139,7 +139,7 @@ func tfidfCV(snap *dataset.Snapshot, cfg TextConfig) (eval.CVResult, error) {
 		w = vectorize.WeightCounts
 	}
 	foldsKey := fmt.Sprintf("folds|%s|%d|%d|%d|%d|%s", snap.ContentHash(), cfg.Terms, cfg.Seed, w, cfg.Folds, cfg.Sampling)
-	v, _ := featureCache.DoScoped(featcache.ScopeTraining, foldsKey, func() (any, error) {
+	v, _ := featureCache.Do(foldsKey, func() (any, error) {
 		_, inputs, err := eval.PrepareFoldsCtx(nil, ds, cfg.Folds, cfg.Seed, smp)
 		return inputs, err
 	})
@@ -173,7 +173,7 @@ type nggFoldData struct {
 
 func nggFoldFeatures(snap *dataset.Snapshot, terms, foldCount int, seed int64, workers int) *nggFoldData {
 	key := fmt.Sprintf("ngg|%s|%d|%d|%d", snap.ContentHash(), terms, foldCount, seed)
-	v, _ := featureCache.DoScoped(featcache.ScopeTraining, key, func() (any, error) {
+	v, _ := featureCache.Do(key, func() (any, error) {
 		plane := trainingPlaneFor(snap, terms, seed)
 		labels := plane.Labels
 		labelDS := &ml.Dataset{Dim: 1, X: make([]ml.Vector, len(labels)), Y: labels}

@@ -46,16 +46,15 @@ type Cache struct {
 	shards []*shard
 }
 
-// ScopeTraining is the well-known scope of the training pipeline:
-// every feature artifact the core package memoizes — the per-corpus
-// n-gram-graph plane, the per-fold feature matrices every ensemble
-// member reads, and the TF-IDF corpora and datasets. The scope
-// mechanism is generic (any string works); the name is shared so that
-// /metrics, the bench harness and the core package agree on what they
-// call the same counters.
+// ScopeTraining names the cache's one accounting scope: the training
+// pipeline, which memoizes every feature artifact the core package
+// builds — the per-corpus n-gram-graph plane, the per-fold feature
+// matrices every ensemble member reads, and the TF-IDF corpora and
+// datasets. /metrics and the bench harness label the cache's counters
+// with it.
 const ScopeTraining = "training"
 
-// CacheStats is one scope's hit/miss counters.
+// CacheStats is a hit/miss counter pair.
 type CacheStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -69,24 +68,6 @@ type shard struct {
 	entries map[string]*list.Element
 
 	hits, misses, evictions uint64
-	// scopes splits hits/misses by the caller-declared scope of each
-	// DoScoped call, so one caller's reuse is distinguishable from
-	// another's. Unscoped Do calls count under "".
-	scopes map[string]*CacheStats
-}
-
-// scopeStats returns the shard's counter slot for a scope, creating it
-// on first use. Caller holds s.mu.
-func (s *shard) scopeStats(scope string) *CacheStats {
-	if s.scopes == nil {
-		s.scopes = make(map[string]*CacheStats)
-	}
-	st := s.scopes[scope]
-	if st == nil {
-		st = &CacheStats{}
-		s.scopes[scope] = st
-	}
-	return st
 }
 
 // entry is one cache slot. The once gate makes concurrent builders of
@@ -170,27 +151,14 @@ func (c *Cache) Shards() int { return len(c.shards) }
 // The returned value is shared between all callers of the key: treat
 // it as read-only.
 func (c *Cache) Do(key string, build func() (any, error)) (any, error) {
-	return c.DoScoped("", key, build)
-}
-
-// DoScoped is Do with the hit/miss attributed to a named scope (see
-// ScopeTraining), so callers sharing one cache can tell
-// whose entries are being reused. The scope is an accounting label
-// only: it does not partition the key space, and two callers using the
-// same key under different scopes share one entry (the first builder's
-// scope takes the miss, later scopes take hits).
-func (c *Cache) DoScoped(scope, key string, build func() (any, error)) (any, error) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	sc := s.scopeStats(scope)
 	el, ok := s.entries[key]
 	if ok {
 		s.order.MoveToFront(el)
 		s.hits++
-		sc.Hits++
 	} else {
 		s.misses++
-		sc.Misses++
 		el = s.order.PushFront(&entry{key: key})
 		s.entries[key] = el
 		for s.order.Len() > s.max {
@@ -249,7 +217,6 @@ func (c *Cache) Purge() {
 		s.order.Init()
 		s.entries = make(map[string]*list.Element)
 		s.hits, s.misses, s.evictions = 0, 0, 0
-		s.scopes = nil
 		s.mu.Unlock()
 	}
 }
@@ -267,37 +234,4 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 		s.mu.Unlock()
 	}
 	return hits, misses, evictions
-}
-
-// ScopeStats reports the cumulative hit/miss counters of one scope
-// since the last Purge, aggregated across shards (same near-point-in-
-// time caveat as Stats).
-func (c *Cache) ScopeStats(scope string) CacheStats {
-	var out CacheStats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		if st := s.scopes[scope]; st != nil {
-			out.Hits += st.Hits
-			out.Misses += st.Misses
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// StatsByScope reports every scope's hit/miss counters since the last
-// Purge. Unscoped Do traffic appears under the "" key when present.
-func (c *Cache) StatsByScope() map[string]CacheStats {
-	out := make(map[string]CacheStats)
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for scope, st := range s.scopes {
-			agg := out[scope]
-			agg.Hits += st.Hits
-			agg.Misses += st.Misses
-			out[scope] = agg
-		}
-		s.mu.Unlock()
-	}
-	return out
 }

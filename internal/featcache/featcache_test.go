@@ -361,69 +361,3 @@ func TestCancellationEvictionLeavesFreshFlightAlone(t *testing.T) {
 		t.Fatalf("entry = %v, want healthy", v)
 	}
 }
-
-// scopeOther is a second scope label besides ScopeTraining.
-const scopeOther = "serving"
-
-func TestScopedStatsSeparateTrainingFromServing(t *testing.T) {
-	c := New(8)
-	build := func(v any) func() (any, error) {
-		return func() (any, error) { return v, nil }
-	}
-	// Training plane: one miss, two reuse hits.
-	c.DoScoped(ScopeTraining, "plane|a", build(1))
-	c.DoScoped(ScopeTraining, "plane|a", build(1))
-	c.DoScoped(ScopeTraining, "plane|a", build(1))
-	// Another caller: two distinct artifacts, one reuse.
-	c.DoScoped(scopeOther, "tv|a", build(2))
-	c.DoScoped(scopeOther, "tv|b", build(3))
-	c.DoScoped(scopeOther, "tv|a", build(2))
-	// Unscoped traffic lands under "" and must not pollute either scope.
-	c.Do("misc", build(4))
-
-	if got := c.ScopeStats(ScopeTraining); got.Hits != 2 || got.Misses != 1 {
-		t.Fatalf("training scope = %+v, want 2 hits / 1 miss", got)
-	}
-	if got := c.ScopeStats(scopeOther); got.Hits != 1 || got.Misses != 2 {
-		t.Fatalf("serving scope = %+v, want 1 hit / 2 misses", got)
-	}
-	by := c.StatsByScope()
-	if got := by[""]; got.Misses != 1 || got.Hits != 0 {
-		t.Fatalf("unscoped = %+v, want 0 hits / 1 miss", got)
-	}
-	// Scope totals must sum to the aggregate counters.
-	hits, misses, _ := c.Stats()
-	var sh, sm uint64
-	for _, st := range by {
-		sh += st.Hits
-		sm += st.Misses
-	}
-	if sh != hits || sm != misses {
-		t.Fatalf("scope sums (%d,%d) != aggregate (%d,%d)", sh, sm, hits, misses)
-	}
-
-	c.Purge()
-	if got := c.ScopeStats(ScopeTraining); got != (CacheStats{}) {
-		t.Fatalf("training scope after Purge = %+v, want zero", got)
-	}
-	if len(c.StatsByScope()) != 0 {
-		t.Fatal("StatsByScope not reset by Purge")
-	}
-}
-
-func TestScopedStatsSameKeyAcrossScopesSharesEntry(t *testing.T) {
-	c := New(8)
-	calls := 0
-	b := func() (any, error) { calls++; return "v", nil }
-	c.DoScoped(ScopeTraining, "k", b)
-	c.DoScoped(scopeOther, "k", b)
-	if calls != 1 {
-		t.Fatalf("build ran %d times, want 1 (scopes are labels, not partitions)", calls)
-	}
-	if got := c.ScopeStats(ScopeTraining); got.Misses != 1 {
-		t.Fatalf("first scope = %+v, want the miss", got)
-	}
-	if got := c.ScopeStats(scopeOther); got.Hits != 1 {
-		t.Fatalf("second scope = %+v, want the hit", got)
-	}
-}

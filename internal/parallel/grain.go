@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -113,8 +112,7 @@ func PlanGrainFor(site string, workers, folds, docsPerFold int) GrainPlan {
 }
 
 // GrainDecisions returns the last recorded plan per call site since
-// the previous ResetGrainDecisions, rendered as strings, with call
-// sites in sorted order for stable output.
+// the previous ResetGrainDecisions, rendered as strings.
 func GrainDecisions() map[string]string {
 	grainMu.Lock()
 	defer grainMu.Unlock()
@@ -123,18 +121,6 @@ func GrainDecisions() map[string]string {
 		out[site] = p.String()
 	}
 	return out
-}
-
-// GrainSites lists the recorded call sites in sorted order.
-func GrainSites() []string {
-	grainMu.Lock()
-	defer grainMu.Unlock()
-	sites := make([]string, 0, len(grainLog))
-	for s := range grainLog {
-		sites = append(sites, s)
-	}
-	sort.Strings(sites)
-	return sites
 }
 
 // ResetGrainDecisions clears the recorded plans (the bench harness

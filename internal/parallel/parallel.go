@@ -12,10 +12,10 @@
 package parallel
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -66,52 +66,7 @@ func Workers(n int) int {
 // goroutines. A panic in any f is re-raised in the caller (the one
 // from the lowest index, matching a sequential loop).
 func For(n, workers int, f func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicIdx = -1
-		panicVal any
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicVal = i, r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					f(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicIdx >= 0 {
-		panic(panicVal)
-	}
+	ForCtx(context.Background(), n, workers, f)
 }
 
 // ForGrain runs f over the index range [0, n) in contiguous chunks of
@@ -153,42 +108,10 @@ func ForGrain(n, workers, grain int, f func(lo, hi int)) {
 	})
 }
 
-// MapErrGrain is MapErr with chunked dispatch: f is still called once
-// per index and the results are ordered by index, but indices are
-// handed to workers in contiguous chunks of at most grain (see
-// ForGrain). If any call fails, the error of the lowest failing index
-// is returned — the same error a sequential loop would surface first —
-// and the results are discarded.
-func MapErrGrain[T any](n, workers, grain int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	ForGrain(n, workers, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = f(i)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // MapErr runs f for every index on up to Workers(workers) goroutines
 // and returns the results ordered by index. If any call fails, the
 // error of the lowest failing index is returned — the same error a
 // sequential loop would surface first — and the results are discarded.
 func MapErr[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	For(n, workers, func(i int) {
-		out[i], errs[i] = f(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return MapErrCtx(context.Background(), n, workers, f)
 }

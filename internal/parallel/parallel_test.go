@@ -180,33 +180,6 @@ func TestForGrainZeroN(t *testing.T) {
 	ForGrain(0, 4, 8, func(lo, hi int) { t.Fatal("f called for n=0") })
 }
 
-func TestMapErrGrainOrdersResultsAndErrors(t *testing.T) {
-	out, err := MapErrGrain(50, 8, 4, func(i int) (int, error) { return i * 3, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-
-	errLow := errors.New("low")
-	errHigh := errors.New("high")
-	_, err = MapErrGrain(40, 8, 3, func(i int) (int, error) {
-		switch i {
-		case 5:
-			return 0, errLow
-		case 31:
-			return 0, errHigh
-		}
-		return i, nil
-	})
-	if !errors.Is(err, errLow) {
-		t.Fatalf("err = %v, want lowest-index error %v", err, errLow)
-	}
-}
-
 func TestForGrainPropagatesLowestChunkPanic(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -39,14 +39,14 @@ func TestPipelineOverLiveServer(t *testing.T) {
 	}
 
 	p := New(srv, Config{MaxSweeps: 1, Logf: t.Logf})
-	srv.RegisterMetrics(p.WriteMetrics)
+	srv.RegisterMetrics(p.Metrics())
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if p.Sweeps() != 1 {
 		t.Fatalf("Sweeps = %d, want 1", p.Sweeps())
 	}
-	if got := p.met.domainsOK.Load(); got != uint64(len(seed)) {
+	if got := p.met.domainsOK.Value(); got != uint64(len(seed)) {
 		t.Fatalf("re-verified %d domains, want %d", got, len(seed))
 	}
 	if term, _, n, ok := p.drift.scores(); !ok || n != len(seed) {
@@ -54,7 +54,7 @@ func TestPipelineOverLiveServer(t *testing.T) {
 	}
 
 	// The sweep's verdicts serve live traffic: /metrics shows the drift
-	// gauges (via the RegisterMetrics hook) and the corpus gauge.
+	// gauges (mounted with RegisterMetrics) and the corpus gauge.
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
@@ -67,6 +67,28 @@ func TestPipelineOverLiveServer(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+	// Every family renders once: the pipeline's come only through its
+	// mounted registry.
+	help := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			help[name]++
+		}
+	}
+	for name, n := range help {
+		if n != 1 {
+			t.Errorf("family %s rendered %d times", name, n)
+		}
+	}
+	if help["pharmaverify_reverify_domains_total"] != 1 {
+		t.Error("pipeline families missing from /metrics")
+	}
+	// A sweep is counted by the pipeline's own outcome family, never as
+	// a /v1/verify domain outcome.
+	if strings.Contains(body, "pharmaverify_domains_total{") {
+		t.Error("sweep re-verifications counted in pharmaverify_domains_total")
 	}
 }
 

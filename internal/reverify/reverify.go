@@ -174,8 +174,8 @@ type sweepRecord struct {
 }
 
 // Pipeline is the continuous re-verification loop. Construct with New,
-// then Run on a background goroutine; register WriteMetrics with the
-// deployment's /metrics endpoint.
+// then Run on a background goroutine; mount Metrics on the deployment's
+// /metrics endpoint.
 type Pipeline struct {
 	dep   Deployment
 	cfg   Config
@@ -192,12 +192,14 @@ type Pipeline struct {
 // re-baselines to the promoted model's sketch.
 func New(dep Deployment, cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
-	return &Pipeline{
+	p := &Pipeline{
 		dep:          dep,
 		cfg:          cfg,
 		drift:        newDriftMonitor(dep.TrainingSketch()),
 		lastVerified: make(map[string]time.Time),
 	}
+	p.declareMetrics()
+	return p
 }
 
 // Run executes sweeps until the context ends (or MaxSweeps completes).
@@ -215,7 +217,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		if err := p.runSweep(ctx, sweep); err != nil {
 			return err
 		}
-		p.met.sweeps.Add(1)
+		p.met.sweeps.Inc()
 		sweep++
 		if err := p.storeSweep(sweep); err != nil {
 			return err
@@ -280,18 +282,18 @@ func (p *Pipeline) processDomain(ctx context.Context, domain string) bool {
 	now := p.cfg.now()
 	if p.cfg.Interval > 0 {
 		if last, ok := p.lastVerified[domain]; ok && now.Sub(last) < p.cfg.Interval {
-			p.met.domainsSkipped.Add(1)
+			p.met.domainsSkipped.Inc()
 			return false
 		}
 	}
 	obs, err := p.dep.Reverify(ctx, domain)
 	p.lastVerified[domain] = now
 	if err != nil {
-		p.met.domainsErr.Add(1)
+		p.met.domainsErr.Inc()
 		p.cfg.Logf("reverify: %s: %v", domain, err)
 		return true
 	}
-	p.met.domainsOK.Add(1)
+	p.met.domainsOK.Inc()
 	p.drift.observe(obs.Terms, obs.Outbound)
 	return true
 }
@@ -312,7 +314,7 @@ func (p *Pipeline) maybeRetrain(ctx context.Context) {
 	if term < th && link < th {
 		return
 	}
-	p.met.retrainTriggers.Add(1)
+	p.met.retrainTriggers.Inc()
 	p.cfg.Logf("reverify: drift trigger fired (term %.3f, link %.3f over %d observations, threshold %.3f)",
 		term, link, n, th)
 	if err := p.cfg.Retrain(ctx); err != nil {

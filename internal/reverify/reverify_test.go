@@ -253,7 +253,7 @@ func TestPolitenessSkipsRecentDomains(t *testing.T) {
 	if got := dep.total(); got != 2 {
 		t.Fatalf("%d re-verifications across 2 same-instant sweeps, want 2", got)
 	}
-	if got := p.met.domainsSkipped.Load(); got != 2 {
+	if got := p.met.domainsSkipped.Value(); got != 2 {
 		t.Fatalf("domainsSkipped = %d, want 2", got)
 	}
 }

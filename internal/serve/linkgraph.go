@@ -135,7 +135,7 @@ func (g *linkGraph) refresh(v *core.Verifier) {
 		}
 	}
 	g.snap.Store(&trustSnapshot{fp: g.ranker.fp, Ranked: g.ranker.Rank()})
-	g.met.graphRefreshes.inc()
+	g.met.graphRefreshes.Inc()
 	g.met.refreshSecs.observe(time.Since(start).Seconds())
 }
 

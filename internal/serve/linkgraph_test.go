@@ -204,7 +204,7 @@ func TestLinklessDomainIsScored(t *testing.T) {
 			t.Fatalf("request %d: no network contribution in %+v", i, resp.Results[0].Sources)
 		}
 		// graphRefreshes backs pharmaverify_linkgraph_refreshes_total.
-		refreshes := s.met.graphRefreshes.value()
+		refreshes := s.met.graphRefreshes.Value()
 		if i == 0 {
 			first = refreshes
 		} else if refreshes != first {

@@ -92,7 +92,7 @@ func (s *Server) verifyDomain(ctx context.Context, slot *modelSlot, domain strin
 	key := verdictKey(slot.fingerprint, domain)
 	if !refresh {
 		if v, ok := s.cache.get(key); ok {
-			s.met.domains.inc("cache_hit")
+			s.met.domains.with("cache_hit").Inc()
 			v.Cached = true
 			return v
 		}
@@ -119,20 +119,22 @@ func (s *Server) verifyDomain(ctx context.Context, slot *modelSlot, domain strin
 		// availability only when even the stale fallback is exhausted.
 		if sv, stale, ok := s.cache.getStale(key); ok {
 			if stale {
-				s.met.domains.inc("stale")
+				s.met.domains.with("stale").Inc()
 			} else {
-				s.met.domains.inc("cache_hit")
+				s.met.domains.with("cache_hit").Inc()
 			}
 			sv.Cached = true
 			sv.Stale = stale
 			return sv
 		}
-		s.met.domains.inc("error")
+		s.met.domains.with("error").Inc()
 		return DomainVerdict{Domain: domain, Error: err.Error()}
 	case shared:
-		s.met.domains.inc("deduped")
+		s.met.domains.with("deduped").Inc()
+	case v.Partial:
+		s.met.domains.with("partial").Inc()
 	default:
-		s.met.domains.inc("crawled")
+		s.met.domains.with("crawled").Inc()
 	}
 	return v
 }
@@ -212,9 +214,6 @@ func (s *Server) assessObs(ctx context.Context, slot *modelSlot, domain string) 
 		return DomainVerdict{}, dataset.Pharmacy{}, fmt.Errorf("no pages crawled for %s (%d attempts, %d failed)",
 			domain, r.Stats.Attempts, r.Stats.Failures)
 	}
-	if partial {
-		s.met.domains.inc("partial")
-	}
 
 	preStart := time.Now()
 	summary := textproc.Summarize(r.Text())
@@ -283,11 +282,11 @@ func (s *Server) fuse(ctx context.Context, slot *modelSlot, p dataset.Pharmacy) 
 			// bulkhead rejections were already counted by the guard
 			// under their own names — don't double-book them as errors.
 			if !errors.Is(err, errSourceOpen) && !errors.Is(err, errSourceSaturated) {
-				s.met.sourceErrors.inc(name)
+				s.met.sourceErrors.with(name).Inc()
 			}
 			continue
 		}
-		s.met.sourceContribs.inc(name)
+		s.met.sourceContribs.with(name).Inc()
 		v.Sources = append(v.Sources, SourceContribution{Name: name, Prob: ev.Prob})
 		probs = append(probs, ev.Prob)
 		if name == "text" {
@@ -299,7 +298,7 @@ func (s *Server) fuse(ctx context.Context, slot *modelSlot, p dataset.Pharmacy) 
 		}
 	}
 	if len(probs) < s.cfg.MinEvidence {
-		s.met.quorumFailures.inc()
+		s.met.quorumFailures.Inc()
 		return DomainVerdict{}, fmt.Errorf("%w: %d of %d required sources voted for %s",
 			errInsufficientEvidence, len(probs), s.cfg.MinEvidence, p.Domain)
 	}
@@ -308,9 +307,9 @@ func (s *Server) fuse(ctx context.Context, slot *modelSlot, p dataset.Pharmacy) 
 	// Rank keeps the paper's OPR semantics: textRank + networkRank.
 	v.Rank = v.TextProb + v.TrustScore
 	if v.Legitimate {
-		s.met.verdicts.inc("legitimate")
+		s.met.verdicts.with("legitimate").Inc()
 	} else {
-		s.met.verdicts.inc("illegitimate")
+		s.met.verdicts.with("illegitimate").Inc()
 	}
 	return v, nil
 }

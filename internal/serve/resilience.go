@@ -240,7 +240,7 @@ type guardedSource struct {
 func newGuardedSource(src EvidenceSource, cfg Config, met *metrics) *guardedSource {
 	name := src.Name()
 	brk := newBreaker(cfg.BreakerWindow, cfg.BreakerFailures, cfg.BreakerCooldown, cfg.BreakerProbes, cfg.now,
-		func(to breakerState) { met.breakerTransitions.inc(name + "|" + to.String()) })
+		func(to breakerState) { met.breakerTransitions.with(name + "|" + to.String()).Inc() })
 	return &guardedSource{
 		inner:   src,
 		brk:     brk,
@@ -278,11 +278,11 @@ func (g *guardedSource) Assess(ctx context.Context, model *core.Verifier, p data
 	name := g.inner.Name()
 	ok, probe := g.brk.allow()
 	if !ok {
-		g.met.breakerRejects.inc(name)
+		g.met.breakerRejects.with(name).Inc()
 		return Evidence{}, fmt.Errorf("%s: %w", name, errSourceOpen)
 	}
 	if !g.bh.tryAcquire() {
-		g.met.sourceSheds.inc(name)
+		g.met.sourceSheds.with(name).Inc()
 		// Saturation is a failure signal: a source that cannot take the
 		// offered load should trip toward open like one that errors.
 		g.brk.record(true, probe)
@@ -321,7 +321,7 @@ func (g *guardedSource) Assess(ctx context.Context, model *core.Verifier, p data
 			g.brk.cancel(probe)
 			return Evidence{}, fmt.Errorf("%s assessment abandoned: %w", name, ctx.Err())
 		}
-		g.met.sourceTimeouts.inc(name)
+		g.met.sourceTimeouts.with(name).Inc()
 		g.brk.record(true, probe)
 		return Evidence{}, fmt.Errorf("%s assessment timed out after %v: %w", name, g.timeout, actx.Err())
 	}

@@ -293,7 +293,7 @@ func guardCfg(clock *fakeClock) Config {
 func TestGuardedSourceTimeoutTripsBreaker(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1700000000, 0)}
 	src := newScriptedSource("scripted", "hang", 0)
-	met := newMetrics()
+	met := newMetrics(&Server{})
 	g := newGuardedSource(src, guardCfg(clock), met)
 
 	_, err := g.Assess(context.Background(), nil, dataset.Pharmacy{Domain: "d"})
@@ -324,7 +324,7 @@ func TestGuardedSourceTimeoutTripsBreaker(t *testing.T) {
 func TestGuardedSourceShedsWhenSaturated(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1700000000, 0)}
 	src := newScriptedSource("scripted", "hang", 0)
-	met := newMetrics()
+	met := newMetrics(&Server{})
 	cfg := guardCfg(clock)
 	cfg.SourceTimeout = time.Hour // nothing times out; saturation is the signal
 	g := newGuardedSource(src, cfg, met)
@@ -363,7 +363,7 @@ func TestGuardedSourceShedsWhenSaturated(t *testing.T) {
 func TestGuardedSourceAbstentionIsHealthy(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1700000000, 0)}
 	src := newScriptedSource("scripted", "abstain", 0)
-	g := newGuardedSource(src, guardCfg(clock), newMetrics())
+	g := newGuardedSource(src, guardCfg(clock), newMetrics(&Server{}))
 	for i := 0; i < 10; i++ {
 		if _, err := g.Assess(context.Background(), nil, dataset.Pharmacy{Domain: "d"}); !errors.Is(err, errNoEvidence) {
 			t.Fatalf("abstaining source returned %v", err)
@@ -382,7 +382,7 @@ func TestGuardedSourceParentCancelIsNeutral(t *testing.T) {
 	src := newScriptedSource("scripted", "hang-ctx", 0)
 	cfg := guardCfg(clock)
 	cfg.SourceTimeout = time.Hour
-	g := newGuardedSource(src, cfg, newMetrics())
+	g := newGuardedSource(src, cfg, newMetrics(&Server{}))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -407,7 +407,7 @@ func labelCount(lc *labelCounter, label string) uint64 {
 	keys, counts := lc.snapshot()
 	for i, k := range keys {
 		if k == label {
-			return counts[i]
+			return counts[i].Value()
 		}
 	}
 	return 0

@@ -44,7 +44,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -288,12 +287,6 @@ type Server struct {
 	sources []*guardedSource
 	start   time.Time
 
-	// extraMetrics are render hooks registered by companion subsystems
-	// (the re-verification pipeline) so their gauges appear on this
-	// server's /metrics endpoint.
-	extraMu      sync.Mutex
-	extraMetrics []func(io.Writer)
-
 	stopc     chan struct{}
 	closeOnce sync.Once
 	draining  atomic.Bool
@@ -308,8 +301,6 @@ func New(model *core.Verifier, cfg Config) (*Server, error) {
 		return nil, errors.New("serve: Config.Fetcher is required")
 	}
 	cfg = cfg.withDefaults()
-	met := newMetrics()
-	graph := newLinkGraph(cfg, met)
 	s := &Server{
 		cfg:    cfg,
 		fetch:  cfg.Fetcher,
@@ -317,21 +308,21 @@ func New(model *core.Verifier, cfg Config) (*Server, error) {
 		cache:  newVerdictCache(cfg.CacheSize, cfg.CacheTTL, cfg.MaxStale, cfg.now),
 		flight: newFlightGroup(cfg.MaxTimeout),
 		adm:    newAdmission(parallel.Workers(cfg.Workers), cfg.QueueDepth),
-		met:    met,
 		agg:    &crawler.Aggregator{},
-		graph:  graph,
 		corpus: newCorpusStore(cfg.CorpusMaxDomains),
-		// The ordered evidence backends of a fused verdict, each behind
-		// its own breaker + bulkhead + deadline guard. Order is
-		// presentation only — every contributing source carries equal
-		// weight in the fusion.
-		sources: []*guardedSource{
-			newGuardedSource(textSource{}, cfg, met),
-			newGuardedSource(networkSource{graph: graph}, cfg, met),
-			newGuardedSource(registrySource{lookup: cfg.Registry}, cfg, met),
-		},
-		stopc: make(chan struct{}),
-		start: cfg.now(),
+		stopc:  make(chan struct{}),
+		start:  cfg.now(),
+	}
+	s.met = newMetrics(s)
+	s.graph = newLinkGraph(cfg, s.met)
+	// The ordered evidence backends of a fused verdict, each behind its
+	// own breaker + bulkhead + deadline guard. Order is presentation
+	// only — every contributing source carries equal weight in the
+	// fusion.
+	s.sources = []*guardedSource{
+		newGuardedSource(textSource{}, cfg, s.met),
+		newGuardedSource(networkSource{graph: s.graph}, cfg, s.met),
+		newGuardedSource(registrySource{lookup: cfg.Registry}, cfg, s.met),
 	}
 	s.model.Store(&modelSlot{v: model, fingerprint: model.Fingerprint(), loaded: cfg.now()})
 	if cfg.GraphRefreshInterval > 0 {
@@ -384,7 +375,7 @@ func (s *Server) Close() { s.closeOnce.Do(func() { close(s.stopc) }) }
 // no flush — its keys embed the fingerprint.
 func (s *Server) SwapModel(v *core.Verifier) {
 	s.model.Store(&modelSlot{v: v, fingerprint: v.Fingerprint(), loaded: s.cfg.now()})
-	s.met.modelReloads.inc()
+	s.met.modelReloads.Inc()
 }
 
 // ModelFingerprint reports the identity of the currently served model.
@@ -395,23 +386,16 @@ func (s *Server) ModelFingerprint() string { return s.model.Load().fingerprint }
 // baseline the drift monitor compares fresh crawls against.
 func (s *Server) TrainingSketch() *core.Sketch { return s.model.Load().v.TrainingSketch() }
 
-// RegisterMetrics adds a render hook to /metrics. Companion subsystems
-// (the continuous re-verification pipeline) register their own gauges
-// and counters here so operators scrape one endpoint. Hooks run at the
-// end of every /metrics render, in registration order.
-func (s *Server) RegisterMetrics(fn func(io.Writer)) {
-	if fn == nil {
-		return
-	}
-	s.extraMu.Lock()
-	s.extraMetrics = append(s.extraMetrics, fn)
-	s.extraMu.Unlock()
-}
+// RegisterMetrics mounts a companion subsystem's registry (the
+// continuous re-verification pipeline's) on /metrics, after the
+// server's own families and those mounted before, so operators scrape
+// one endpoint. A family name mounted twice panics: each renders once.
+func (s *Server) RegisterMetrics(r *Registry) { s.met.reg.mount(r) }
 
 // RecordReloadFailure counts one failed model hot-reload attempt (the
 // daemon keeps serving the old model; the failure was previously only
 // visible in the logs).
-func (s *Server) RecordReloadFailure() { s.met.modelReloadFails.inc() }
+func (s *Server) RecordReloadFailure() { s.met.modelReloadFails.Inc() }
 
 // SetDraining flips the readiness state. While draining, /readyz
 // returns 503 (load balancers stop routing) and new verify requests are
@@ -503,7 +487,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	start := s.cfg.now()
 	code := http.StatusOK
 	defer func() {
-		s.met.requests.inc(fmt.Sprint(code))
+		s.met.requests.with(fmt.Sprint(code)).Inc()
 		s.met.requestSecs.observe(s.cfg.now().Sub(start).Seconds())
 	}()
 
@@ -531,7 +515,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// retry hint sized to the typical service time.
 	if err := s.adm.acquire(r.Context()); err != nil {
 		if errors.Is(err, errQueueFull) {
-			s.met.queueReject.inc()
+			s.met.queueReject.Inc()
 			code = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
 			writeJSON(w, code, errorBody{Error: "admission queue full, retry later"})
@@ -566,7 +550,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		// must never read as a real "illegitimate" ruling.
 		for i := range verdicts {
 			if verdicts[i].Domain == "" {
-				s.met.domains.inc("error")
+				s.met.domains.with("error").Inc()
 				verdicts[i] = DomainVerdict{Domain: call.domains[i], Error: "not assessed: " + ctxErr.Error()}
 			}
 		}
@@ -601,14 +585,19 @@ type verifyCall struct {
 	refresh bool
 }
 
-// parseVerify decodes a /v1/verify body of at most maxVerifyBody bytes
-// and applies every rule that comes before admission: the domain list
-// (requestDomains) and the deadline (requestTimeout). Its errors are
-// the client's (HTTP 400).
+// parseVerify decodes a /v1/verify body of at most maxVerifyBody bytes,
+// one JSON object and optional white space, and applies every rule that
+// comes before admission: the domain list (requestDomains) and the
+// deadline (requestTimeout). Its errors are the client's (HTTP 400).
 func (c *Config) parseVerify(w http.ResponseWriter, body io.ReadCloser) (verifyCall, error) {
 	var req VerifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, body, maxVerifyBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxVerifyBody))
+	if err := dec.Decode(&req); err != nil {
 		return verifyCall{}, fmt.Errorf("malformed request: %w", err)
+	}
+	// One object per body: only white space may follow it.
+	if _, err := dec.Token(); err != io.EOF {
+		return verifyCall{}, errors.New("malformed request: data after the JSON object")
 	}
 	domains, err := c.requestDomains(req)
 	if err != nil {
@@ -790,128 +779,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	writeLabelCounter(w, "pharmaverify_requests_total",
-		"Verify requests by HTTP status code.", "code", s.met.requests)
-	writeLabelCounter(w, "pharmaverify_domains_total",
-		"Domain verifications by outcome.", "outcome", s.met.domains)
-	writeLabelCounter(w, "pharmaverify_verdicts_total",
-		"Fresh verdicts by class.", "verdict", s.met.verdicts)
-	writeLabelCounter(w, "pharmaverify_source_contributions_total",
-		"Evidence contributions fused into verdicts, by source.", "source", s.met.sourceContribs)
-	writeLabelCounter(w, "pharmaverify_source_errors_total",
-		"Evidence-source failures (the verdict degraded to the remaining sources).", "source", s.met.sourceErrors)
-
-	// Resilience: per-source breaker state (0 closed, 1 half-open,
-	// 2 open), lifecycle transitions, and the shed/fast-fail/timeout
-	// counters of the degradation path.
-	names := make([]string, len(s.sources))
-	states := make([]float64, len(s.sources))
-	for i, src := range s.sources {
-		names[i] = src.Name()
-		states[i] = float64(src.brk.currentState())
-	}
-	writeLabelGauge(w, "pharmaverify_source_breaker_state",
-		"Circuit-breaker state per evidence source (0 closed, 1 half-open, 2 open).", "source", names, states)
-	writeLabel2Counter(w, "pharmaverify_source_breaker_transitions_total",
-		"Circuit-breaker lifecycle transitions by source and target state.", "source", "state", s.met.breakerTransitions)
-	writeLabelCounter(w, "pharmaverify_source_breaker_rejections_total",
-		"Assessments fast-failed because the source's breaker was open.", "source", s.met.breakerRejects)
-	writeLabelCounter(w, "pharmaverify_source_shed_total",
-		"Assessments shed because the source's bulkhead was saturated.", "source", s.met.sourceSheds)
-	writeLabelCounter(w, "pharmaverify_source_timeouts_total",
-		"Assessments cut off by the per-source deadline.", "source", s.met.sourceTimeouts)
-	writeMetric(w, "pharmaverify_quorum_failures_total",
-		"Verdicts abandoned because fewer sources voted than the evidence quorum requires.", "counter", fmt.Sprint(s.met.quorumFailures.value()))
-	writeMetric(w, "pharmaverify_stale_verdicts_total",
-		"Expired cache entries served as marked stale fallbacks after live assessment failed.", "counter", fmt.Sprint(s.cache.staleServed()))
-
-	ls := s.graph.live.Stats()
-	writeMetric(w, "pharmaverify_linkgraph_folds_total", "Crawl observations folded into the live link graph.", "counter", fmt.Sprint(ls.Folds))
-	writeMetric(w, "pharmaverify_linkgraph_dropped_names_total", "Domain names rejected by the link-graph node bound.", "counter", fmt.Sprint(ls.DroppedNames))
-	writeMetric(w, "pharmaverify_linkgraph_dropped_endpoints_total", "Outbound endpoints cut by the per-domain cap.", "counter", fmt.Sprint(ls.DroppedEndpoints))
-	writeMetric(w, "pharmaverify_linkgraph_dirty", "Graph-changing folds not yet reflected in the served TrustRank scores.", "gauge", fmt.Sprint(s.graph.dirty()))
-	writeMetric(w, "pharmaverify_linkgraph_refreshes_total", "TrustRank score recomputes since start.", "counter", fmt.Sprint(s.met.graphRefreshes.value()))
-	if snap := s.graph.snap.Load(); snap != nil {
-		writeMetric(w, "pharmaverify_linkgraph_nodes", "Nodes of the fused (training + live) graph behind the served scores.", "gauge", fmt.Sprint(snap.Nodes))
-		writeMetric(w, "pharmaverify_linkgraph_edges", "Edges of the fused graph behind the served scores.", "gauge", fmt.Sprint(snap.Edges))
-	}
-
-	hits, misses, expiries, evictions := s.cache.stats()
-	writeMetric(w, "pharmaverify_cache_hits_total", "Verdict cache hits.", "counter", fmt.Sprint(hits))
-	writeMetric(w, "pharmaverify_cache_misses_total", "Verdict cache misses (including expiries).", "counter", fmt.Sprint(misses))
-	writeMetric(w, "pharmaverify_cache_expiries_total", "Verdict cache TTL expiries.", "counter", fmt.Sprint(expiries))
-	writeMetric(w, "pharmaverify_cache_evictions_total", "Verdict cache LRU evictions.", "counter", fmt.Sprint(evictions))
-	writeMetric(w, "pharmaverify_cache_entries", "Current verdict cache entries.", "gauge", fmt.Sprint(s.cache.len()))
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
-	writeMetric(w, "pharmaverify_cache_hit_ratio", "Verdict cache hit ratio since start.", "gauge", formatFloat(ratio))
-
-	// Shared feature cache of the in-process training pipeline, split
-	// by scope: "training" counts the reuse of feature artifacts across
-	// ensemble members, folds and classifiers. The request path never
-	// reads this cache. Scopes render in sorted order for a stable
-	// exposition.
-	fcStats := core.FeatureCacheScopeStats()
-	fcScopes := make([]string, 0, len(fcStats))
-	for scope := range fcStats {
-		fcScopes = append(fcScopes, scope)
-	}
-	sort.Strings(fcScopes)
-	fmt.Fprintf(w, "# HELP pharmaverify_featcache_hits_total Shared feature cache hits by accounting scope.\n# TYPE pharmaverify_featcache_hits_total counter\n")
-	for _, scope := range fcScopes {
-		fmt.Fprintf(w, "pharmaverify_featcache_hits_total{scope=%q} %d\n", scope, fcStats[scope].Hits)
-	}
-	fmt.Fprintf(w, "# HELP pharmaverify_featcache_misses_total Shared feature cache misses by accounting scope.\n# TYPE pharmaverify_featcache_misses_total counter\n")
-	for _, scope := range fcScopes {
-		fmt.Fprintf(w, "pharmaverify_featcache_misses_total{scope=%q} %d\n", scope, fcStats[scope].Misses)
-	}
-
-	// Shadow deployment: candidate-model double-assessment and the
-	// promotion lifecycle (cumulative across candidates), plus the
-	// known-domain corpus the re-verification scheduler sweeps.
-	shadowActive := 0
-	if s.ShadowActive() {
-		shadowActive = 1
-	}
-	writeMetric(w, "pharmaverify_shadow_active", "Whether a shadow candidate model is loaded (0/1).", "gauge", fmt.Sprint(shadowActive))
-	writeMetric(w, "pharmaverify_shadow_assessments_total", "Fresh verdicts double-assessed by a shadow candidate.", "counter", fmt.Sprint(s.met.shadowAssessments.value()))
-	writeMetric(w, "pharmaverify_shadow_flips_total", "Shadow assessments whose fused verdict flipped the live class.", "counter", fmt.Sprint(s.met.shadowFlips.value()))
-	writeLabelCounter(w, "pharmaverify_shadow_disagreements_total",
-		"Per-source class disagreements between the shadow and live models.", "source", s.met.shadowDisagreements)
-	writeMetric(w, "pharmaverify_shadow_promotions_total", "Shadow candidates promoted to the live model.", "counter", fmt.Sprint(s.met.shadowPromotions.value()))
-	writeMetric(w, "pharmaverify_shadow_demotions_total", "Shadow candidates dropped without promotion.", "counter", fmt.Sprint(s.met.shadowDemotions.value()))
-	writeMetric(w, "pharmaverify_corpus_domains", "Domains in the known-domain re-verification corpus.", "gauge", fmt.Sprint(s.corpus.len()))
-
-	writeMetric(w, "pharmaverify_queue_depth", "Requests waiting for a worker slot.", "gauge", fmt.Sprint(s.adm.queued()))
-	writeMetric(w, "pharmaverify_inflight_requests", "Requests holding a worker slot.", "gauge", fmt.Sprint(s.adm.inService()))
-	writeMetric(w, "pharmaverify_queue_rejections_total", "Requests shed because the admission queue was full.", "counter", fmt.Sprint(s.met.queueReject.value()))
-	writeMetric(w, "pharmaverify_model_reloads_total", "Hot model reloads since start.", "counter", fmt.Sprint(s.met.modelReloads.value()))
-	writeMetric(w, "pharmaverify_model_reload_failures_total", "Failed model hot-reload attempts (the previous model kept serving).", "counter", fmt.Sprint(s.met.modelReloadFails.value()))
-
-	st, crawls := s.agg.Snapshot()
-	writeMetric(w, "pharmaverify_crawls_total", "On-demand domain crawls.", "counter", fmt.Sprint(crawls))
-	writeMetric(w, "pharmaverify_crawl_attempts_total", "Page fetch attempts across all crawls.", "counter", fmt.Sprint(st.Attempts))
-	writeMetric(w, "pharmaverify_crawl_retries_total", "Page fetch retries across all crawls.", "counter", fmt.Sprint(st.Retries))
-	writeMetric(w, "pharmaverify_crawl_failures_total", "Failed page fetch attempts.", "counter", fmt.Sprint(st.Failures))
-	writeMetric(w, "pharmaverify_crawl_pages_failed_total", "Pages lost for good.", "counter", fmt.Sprint(st.PagesFailed))
-	writeMetric(w, "pharmaverify_crawl_timeouts_total", "Fetch attempts cut off by the fetch timeout.", "counter", fmt.Sprint(st.Timeouts))
-	writeMetric(w, "pharmaverify_crawl_breaker_trips_total", "Domains abandoned by the failure-budget breaker.", "counter", fmt.Sprint(st.BreakerTrips))
-	writeMetric(w, "pharmaverify_crawl_bytes_total", "HTML bytes fetched.", "counter", fmt.Sprint(st.Bytes))
-
-	writeHistogram(w, "pharmaverify_crawl_duration_seconds", "Wall time of one on-demand crawl.", s.met.crawlSecs)
-	writeHistogram(w, "pharmaverify_preprocess_duration_seconds", "Wall time of summarize + stop-word removal + link extraction for one domain.", s.met.preprocessSecs)
-	writeHistogramVec(w, "pharmaverify_source_duration_seconds", "Wall time of one evidence-source assessment.", "source", s.met.sourceSecs)
-	writeHistogram(w, "pharmaverify_linkgraph_refresh_duration_seconds", "Wall time of one TrustRank score recompute.", s.met.refreshSecs)
-	writeHistogram(w, "pharmaverify_request_duration_seconds", "Wall time of one verify request.", s.met.requestSecs)
-
-	s.extraMu.Lock()
-	hooks := make([]func(io.Writer), len(s.extraMetrics))
-	copy(hooks, s.extraMetrics)
-	s.extraMu.Unlock()
-	for _, fn := range hooks {
-		fn(w)
-	}
+	s.met.reg.Write(w)
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -821,7 +822,42 @@ func FuzzVerifyRequest(f *testing.F) {
 		if call.timeout <= 0 || call.timeout > cfg.MaxTimeout {
 			t.Fatalf("deadline %v outside (0, %v]", call.timeout, cfg.MaxTimeout)
 		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		var obj json.RawMessage
+		if err := dec.Decode(&obj); err != nil {
+			t.Fatalf("accepted a body that is not a JSON value: %v", err)
+		}
+		if rest := body[dec.InputOffset():]; len(bytes.TrimLeft(rest, " \t\r\n")) != 0 {
+			t.Fatalf("accepted %q after the object", rest)
+		}
 	})
+}
+
+// TestParseVerifyRejectsTrailingData: a /v1/verify body is one JSON
+// object and optional white space. Anything after the object — the
+// trailing-garbage fuzz seed, or a second concatenated request — is a
+// client error, not silently dropped.
+func TestParseVerifyRejectsTrailingData(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"domain":"a.example"}`, true},
+		{"{\"domain\":\"a.example\"}\n", true},
+		{"  {\"domain\":\"a.example\"} \r\n\t ", true},
+		{`{"domain":"a.example"}garbage{"domains":`, false}, // the trailing-garbage seed
+		{`{"domain":"a.example"}{"domain":"b.example"}`, false},
+		{`{"domain":"a.example"} 1`, false},
+	} {
+		call, err := cfg.parseVerify(httptest.NewRecorder(), io.NopCloser(strings.NewReader(tc.body)))
+		if tc.ok && (err != nil || len(call.domains) != 1 || call.domains[0] != "a.example") {
+			t.Errorf("%q: got %v, %v; want [a.example]", tc.body, call.domains, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%q: accepted as %v, want an error", tc.body, call.domains)
+		}
+	}
 }
 
 // TestConfigCrawlDefaultsMergeFieldwise: customizing one crawl-budget
@@ -938,8 +974,10 @@ func TestPartialCrawlServesDegradedVerdict(t *testing.T) {
 	if got.Crawl == nil || got.Crawl.Cancels == 0 {
 		t.Errorf("partial verdict's crawl telemetry does not record the interruption: %+v", got.Crawl)
 	}
-	if keys, counts := partialOutcomes(s); keys == 0 || counts == 0 {
-		t.Error("partial outcome not counted in the domains metric")
+	// Each verified domain counts exactly one outcome: the partial
+	// verdict is "partial", not also "crawled".
+	if got := domainOutcomes(s); len(got) != 1 || got["partial"] != 1 {
+		t.Errorf("domain outcomes after one partial verdict = %v, want exactly partial:1", got)
 	}
 
 	// A partial verdict must not be cached: with the gate open the next
@@ -956,17 +994,20 @@ func TestPartialCrawlServesDegradedVerdict(t *testing.T) {
 	if third := s.verifyDomain(context.Background(), s.model.Load(), domain, false); !third.Cached {
 		t.Error("complete verdict not cached")
 	}
+	want := map[string]uint64{"partial": 1, "crawled": 1, "cache_hit": 1}
+	if got := domainOutcomes(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("domain outcomes after three verdicts = %v, want %v", got, want)
+	}
 }
 
-// partialOutcomes reports whether the "partial" outcome was counted.
-func partialOutcomes(s *Server) (present int, count uint64) {
+// domainOutcomes reads the domains metric as outcome → count.
+func domainOutcomes(s *Server) map[string]uint64 {
 	keys, counts := s.met.domains.snapshot()
+	out := make(map[string]uint64, len(keys))
 	for i, k := range keys {
-		if k == "partial" {
-			return 1, counts[i]
-		}
+		out[k] = counts[i].Value()
 	}
-	return 0, 0
+	return out
 }
 
 // TestInterruptedCrawlWithNoPagesErrors: an interruption before any
@@ -1139,7 +1180,7 @@ func TestConcurrentServingFoldsAndRefreshes(t *testing.T) {
 	if s.graph.snap.Load() == nil {
 		t.Fatal("no score snapshot after concurrent serving")
 	}
-	if s.met.graphRefreshes.value() == 0 {
+	if s.met.graphRefreshes.Value() == 0 {
 		t.Error("no TrustRank refreshes despite a dirty threshold of 1")
 	}
 	// Concurrent same-domain refreshes share a flight, so the fold count

@@ -91,7 +91,7 @@ func (s *Server) PromoteShadow() (string, error) {
 	}
 	s.SwapModel(st.slot.v)
 	s.shadow.Store(nil)
-	s.met.shadowPromotions.inc()
+	s.met.shadowPromotions.Inc()
 	return st.slot.fingerprint, nil
 }
 
@@ -104,7 +104,7 @@ func (s *Server) DemoteShadow() {
 		return
 	}
 	s.shadow.Store(nil)
-	s.met.shadowDemotions.inc()
+	s.met.shadowDemotions.Inc()
 }
 
 // shadowAssess silently re-judges one fresh observation under the
@@ -130,7 +130,7 @@ func (s *Server) shadowAssess(st *shadowState, p dataset.Pharmacy, live *DomainV
 			sp = c.Prob
 		}
 		if (sp >= 0.5) != (c.Prob >= 0.5) {
-			s.met.shadowDisagreements.inc(c.Name)
+			s.met.shadowDisagreements.with(c.Name).Inc()
 		}
 		probs = append(probs, sp)
 	}
@@ -138,9 +138,9 @@ func (s *Server) shadowAssess(st *shadowState, p dataset.Pharmacy, live *DomainV
 		return
 	}
 	st.assessed.Add(1)
-	s.met.shadowAssessments.inc()
+	s.met.shadowAssessments.Inc()
 	if core.FusedLegitimate(probs...) != live.Legitimate {
 		st.flips.Add(1)
-		s.met.shadowFlips.inc()
+		s.met.shadowFlips.Inc()
 	}
 }

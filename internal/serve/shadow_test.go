@@ -88,7 +88,7 @@ func TestShadowPromotionMatchesManualReload(t *testing.T) {
 	if promoted.ShadowActive() {
 		t.Fatal("shadow slot not cleared after promotion")
 	}
-	if n := promoted.met.shadowPromotions.value(); n != 1 {
+	if n := promoted.met.shadowPromotions.Value(); n != 1 {
 		t.Fatalf("shadowPromotions = %d, want 1", n)
 	}
 	// Both servers now agree with a third doing SwapModel: the promoted
@@ -107,7 +107,7 @@ func TestDemoteShadowDropsCandidate(t *testing.T) {
 	t.Cleanup(s.Close)
 
 	s.DemoteShadow() // no candidate: a no-op, not a counted demotion
-	if n := s.met.shadowDemotions.value(); n != 0 {
+	if n := s.met.shadowDemotions.Value(); n != 0 {
 		t.Fatalf("demotions after no-op = %d, want 0", n)
 	}
 	if err := s.SetShadow(candidateVerifier(t)); err != nil {
@@ -121,7 +121,7 @@ func TestDemoteShadowDropsCandidate(t *testing.T) {
 	if s.ModelFingerprint() != live {
 		t.Fatal("demotion changed the live model")
 	}
-	if n := s.met.shadowDemotions.value(); n != 1 {
+	if n := s.met.shadowDemotions.Value(); n != 1 {
 		t.Fatalf("demotions = %d, want 1", n)
 	}
 }
@@ -170,7 +170,7 @@ func TestShadowAssessFlipAndDisagreementCounting(t *testing.T) {
 	keys, counts := s.met.shadowDisagreements.snapshot()
 	found := false
 	for i, k := range keys {
-		if k == "text" && counts[i] == 1 {
+		if k == "text" && counts[i].Value() == 1 {
 			found = true
 		}
 	}
